@@ -15,9 +15,9 @@
 
 #include <vector>
 
-#include "src/resv/linear_profile.hpp"
 #include "src/resv/profile.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/linear_profile.hpp"
 
 namespace {
 

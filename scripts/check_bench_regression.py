@@ -12,6 +12,8 @@ Fails (exit 1) when:
   * a custom counter present in a baseline benchmark is missing from the
     same benchmark in the current run (renaming or dropping a counter must
     show up as a red gate, not as silently skipped coverage);
+  * a benchmark's time_unit differs between the baseline and the current
+    run (the times would not be comparable);
   * any benchmark present in both files is slower than `factor` times its
     baseline real_time;
   * a SPEEDUP_PAIRS, THROUGHPUT_BARS, or COUNTER_CEILINGS entry whose
@@ -33,19 +35,11 @@ Current pairs / bars / ceilings:
     worker count, so only wall-clock may move);
   * reschedd RPC     — pipelined submits over a unix socket sustain
     >= 10k RPCs/sec with a durable WAL (DESIGN.md §10 acceptance bar);
-  * hot-path layout  — the small-profile flat scan beats the treap at the
-    128-breakpoint crossover; the RESSCHED sweep at Table-4 scale sustains
-    >= 650 jobs/sec (raised from 565 after the SIMD kernel layer); heap
-    allocations per job stay under the ceilings on the static, dynamic and
-    blind scheduling paths, and the treap-node arena performs zero chunk
-    allocations in steady-state churn (DESIGN.md §11 acceptance bars);
-  * SIMD kernels     — the dispatched bottom-level wavefront sweep beats
-    the scalar table by >= 1.3x on the dense layered DAG within the same
-    run (DESIGN.md §13 acceptance bar). The SIMD leg exports the kernel
-    layer's obs counters (kernels.dispatch.<isa>, kernels.bl_sweep_ns);
-    the counter-presence rule therefore also fails the gate when the
-    runner dispatches a different ISA than the one the baseline was
-    pinned on (re-pin on new hardware, see README "Perf CI").
+  * hot-path layout  — the RESSCHED sweep at Table-4 scale sustains
+    >= 650 jobs/sec; heap allocations per job stay under the ceilings on
+    the static, dynamic and blind scheduling paths, and the treap-node
+    arena performs zero chunk allocations in steady-state churn
+    (DESIGN.md §11 acceptance bars).
 
 --self-test runs the checker against synthetic in-memory fixtures and
 exits 0 iff every failure mode actually fails (wired into the lint CI
@@ -64,10 +58,6 @@ SPEEDUP_PAIRS = [
      "4-shard replay speedup over 1 shard"),
     ("BM_PdesReplay/1/real_time", "BM_PdesReplay/4/real_time", 2.0,
      "PDES windowed replay speedup at 4 workers over 1"),
-    ("BM_FitTreap/64", "BM_FitFlat/64", 1.05,
-     "small-profile flat fast path at the 128-breakpoint crossover"),
-    ("BM_BlSweepScalar", "BM_BlSweepSimd", 1.3,
-     "SIMD bottom-level wavefront sweep over the scalar table"),
 ]
 
 # (benchmark, counter, required minimum counter value, label)
@@ -75,7 +65,7 @@ THROUGHPUT_BARS = [
     ("BM_SubmitPipelined/8/real_time", "rpc_per_sec", 10000.0,
      "reschedd pipelined submit throughput (DESIGN.md §10 bar)"),
     ("BM_ResschedSweep", "jobs_per_sec", 650.0,
-     "RESSCHED sweep at Table-4 scale (raised from 565 by the SIMD kernels)"),
+     "RESSCHED sweep at Table-4 scale"),
 ]
 
 # (benchmark, counter, maximum allowed counter value, label)
@@ -107,7 +97,8 @@ def load(path):
 
 
 def parse(data):
-    """benchmark name -> {"real_time": float, "counters": {name: float}}."""
+    """benchmark name -> {"real_time": float, "time_unit": str,
+    "counters": {name: float}}."""
     out = {}
     for b in data["benchmarks"]:
         if b.get("run_type", "iteration") != "iteration":
@@ -119,6 +110,8 @@ def parse(data):
         }
         out[b["name"]] = {
             "real_time": float(b["real_time"]),
+            # google-benchmark writes it on every entry; "ns" is its default.
+            "time_unit": b.get("time_unit", "ns"),
             "counters": counters,
         }
     return out
@@ -138,13 +131,20 @@ def compare(baseline, current, factor):
             continue
         cur = current[name]
         base_time, cur_time = base["real_time"], cur["real_time"]
-        ratio = cur_time / base_time if base_time > 0 else float("inf")
-        marker = "FAIL" if ratio > factor else "ok"
-        lines.append(f"{marker:4} {name}: {base_time:12.1f} ns ->"
-                     f" {cur_time:12.1f} ns  ({ratio:.2f}x)")
-        if ratio > factor:
-            failures.append(f"{name}: {ratio:.2f}x slower than baseline"
-                            f" (limit {factor:.2f}x)")
+        base_unit, cur_unit = base["time_unit"], cur["time_unit"]
+        if base_unit != cur_unit:
+            lines.append(f"FAIL {name}: {base_time:12.3f} {base_unit} ->"
+                         f" {cur_time:12.3f} {cur_unit}")
+            failures.append(f"{name}: time unit '{base_unit}' in the baseline"
+                            f" but '{cur_unit}' in the current run")
+        else:
+            ratio = cur_time / base_time if base_time > 0 else float("inf")
+            marker = "FAIL" if ratio > factor else "ok"
+            lines.append(f"{marker:4} {name}: {base_time:12.3f} {base_unit} ->"
+                         f" {cur_time:12.3f} {cur_unit}  ({ratio:.2f}x)")
+            if ratio > factor:
+                failures.append(f"{name}: {ratio:.2f}x slower than baseline"
+                                f" (limit {factor:.2f}x)")
         for counter in sorted(base["counters"]):
             if counter not in cur["counters"]:
                 failures.append(
@@ -193,21 +193,21 @@ def compare(baseline, current, factor):
 
 def self_test():
     """Every failure mode must fail; the healthy case must pass."""
-    def bench(name, real_time, **counters):
+    def bench(name, real_time, time_unit="ns", **counters):
         return {"name": name, "run_type": "iteration",
                 "real_time": real_time, "cpu_time": real_time,
-                "time_unit": "ns", "iterations": 1, **counters}
+                "time_unit": time_unit, "iterations": 1, **counters}
 
     base = parse({"benchmarks": [
         bench("BM_X/1", 100.0, widgets_per_sec=50.0),
         bench("BM_SubmitPipelined/8/real_time", 100.0, rpc_per_sec=20000.0),
-        bench("BM_ResschedSweep", 100.0, jobs_per_sec=800.0,
+        bench("BM_ResschedSweep", 1.25, time_unit="ms", jobs_per_sec=800.0,
               allocs_per_job=13.0),
     ]})
     good = parse({"benchmarks": [
         bench("BM_X/1", 110.0, widgets_per_sec=48.0),
         bench("BM_SubmitPipelined/8/real_time", 90.0, rpc_per_sec=15000.0),
-        bench("BM_ResschedSweep", 95.0, jobs_per_sec=700.0,
+        bench("BM_ResschedSweep", 1.4, time_unit="ms", jobs_per_sec=700.0,
               allocs_per_job=15.0),
     ]})
 
@@ -218,25 +218,29 @@ def self_test():
     missing_bench = {"BM_X/1": good["BM_X/1"]}
     cases.append(("missing benchmark fails", base, missing_bench, True))
     slow = {name: dict(value) for name, value in good.items()}
-    slow["BM_X/1"] = {"real_time": 500.0,
-                      "counters": {"widgets_per_sec": 10.0}}
+    slow["BM_X/1"] = dict(good["BM_X/1"], real_time=500.0,
+                          counters={"widgets_per_sec": 10.0})
     cases.append(("2x regression fails", base, slow, True))
-    dropped = {name: {"real_time": value["real_time"],
-                      "counters": dict(value["counters"])}
+    dropped = {name: dict(value, counters=dict(value["counters"]))
                for name, value in good.items()}
     del dropped["BM_X/1"]["counters"]["widgets_per_sec"]
     cases.append(("dropped counter fails", base, dropped, True))
-    under_bar = {name: {"real_time": value["real_time"],
-                        "counters": dict(value["counters"])}
+    under_bar = {name: dict(value, counters=dict(value["counters"]))
                  for name, value in good.items()}
     under_bar["BM_SubmitPipelined/8/real_time"]["counters"][
         "rpc_per_sec"] = 5000.0
     cases.append(("throughput below the bar fails", base, under_bar, True))
-    over_ceiling = {name: {"real_time": value["real_time"],
-                           "counters": dict(value["counters"])}
+    over_ceiling = {name: dict(value, counters=dict(value["counters"]))
                     for name, value in good.items()}
     over_ceiling["BM_ResschedSweep"]["counters"]["allocs_per_job"] = 500.0
     cases.append(("counter above the ceiling fails", base, over_ceiling,
+                  True))
+    # 1.4 us against the 1.25 ms baseline passes the 2x factor by ratio
+    # alone, but the two times are not comparable.
+    unit_mismatch = {name: dict(value) for name, value in good.items()}
+    unit_mismatch["BM_ResschedSweep"] = dict(good["BM_ResschedSweep"],
+                                             time_unit="us")
+    cases.append(("time unit disagreement fails", base, unit_mismatch,
                   True))
 
     broken = 0

@@ -90,19 +90,6 @@ Dag::Dag(std::vector<TaskCost> costs,
   for (int lvl : levels_) ++width[static_cast<std::size_t>(lvl)];
   max_width_ = *std::max_element(width.begin(), width.end());
 
-  // Level buckets (counting sort over the topological order, so each
-  // bucket lists its tasks in topo order): the wavefronts of the
-  // level-synchronous kernel sweeps.
-  level_off_.assign(static_cast<std::size_t>(num_levels_) + 1, 0);
-  for (int lvl : levels_) ++level_off_[static_cast<std::size_t>(lvl) + 1];
-  std::partial_sum(level_off_.begin(), level_off_.end(), level_off_.begin());
-  level_order_.resize(static_cast<std::size_t>(n));
-  std::vector<int> level_cursor(level_off_.begin(), level_off_.end() - 1);
-  for (int v : topo_)
-    level_order_[static_cast<std::size_t>(
-        level_cursor[static_cast<std::size_t>(
-            levels_[static_cast<std::size_t>(v)])]++)] = v;
-
   // SoA mirrors of the cost parameters for the streaming sweeps.
   seq_times_.resize(static_cast<std::size_t>(n));
   alphas_.resize(static_cast<std::size_t>(n));
@@ -124,8 +111,7 @@ void exec_times_into(const Dag& dag, std::span<const int> alloc,
   for (std::size_t v = 0; v < alloc.size(); ++v)
     RESCHED_CHECK(alloc[v] >= 1, "task needs at least one processor");
   exec.resize(alloc.size());
-  // Expression-for-expression dag::exec_time, streamed off the SoA arrays
-  // by the dispatched kernel (byte-identical at every ISA level).
+  // Expression-for-expression dag::exec_time, streamed off the SoA arrays.
   kernels::exec_times(dag.seq_times().data(), dag.alphas().data(),
                       alloc.data(), alloc.size(), exec.data());
 }

@@ -69,26 +69,14 @@ class Dag {
   /// width used by the improved CPA stopping criterion.
   int max_width() const { return max_width_; }
 
-  /// Tasks bucketed by level: level l's tasks are
-  /// level_order()[level_offsets()[l], level_offsets()[l + 1]), in
-  /// topological order within the bucket. These are the wavefronts of the
-  /// level-synchronous kernel sweeps.
-  std::span<const int> level_order() const { return level_order_; }
-  std::span<const int> level_offsets() const { return level_off_; }
-
   /// Raw-pointer view of the SoA/CSR arrays for the kernel library; valid
   /// for this Dag's lifetime.
   kernels::DagView kernel_view() const {
     kernels::DagView view;
     view.n = static_cast<std::size_t>(size());
     view.topo = topo_.data();
-    view.pred_off = pred_off_.data();
-    view.pred_flat = pred_flat_.data();
     view.succ_off = succ_off_.data();
     view.succ_flat = succ_flat_.data();
-    view.level_order = level_order_.data();
-    view.level_off = level_off_.data();
-    view.num_levels = static_cast<std::size_t>(num_levels_);
     return view;
   }
 
@@ -116,10 +104,6 @@ class Dag {
   std::vector<int> entries_;
   std::vector<int> exits_;
   std::vector<int> levels_;
-  // Counting sort of the tasks by level, topo order within each bucket —
-  // the wavefronts consumed by the kernel sweeps.
-  std::vector<int> level_order_;
-  std::vector<int> level_off_;
   int num_levels_ = 0;
   int max_width_ = 0;
   int num_edges_ = 0;

@@ -1,44 +1,48 @@
-// Dispatch plumbing and the scalar kernel table.
-//
-// The scalar implementations below are the pre-kernel hot-path code moved
-// verbatim (dag.cpp's sweeps, snapshot.cpp's fit scans with array indices
-// for map iterators): RESCHED_SIMD=OFF — or a machine without SSE2/AVX2 —
-// runs exactly the code this library replaced, and the SIMD tables are
-// differentially fuzzed against it (tests/kernels_test.cpp) on top of the
-// byte-identity arguments in DESIGN.md §13.
+// The kernel loops: the pre-kernel hot-path code moved verbatim (dag.cpp's
+// sweeps, snapshot.cpp's fit scans with array indices for map iterators).
+// The fit scans are checked against the LinearProfile oracle through
+// CalendarSnapshot in tests/kernels_test.cpp and tests/resv_arena_test.cpp.
 #include "src/kernels/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 
-#include "src/kernels/kernel_table.hpp"
 #include "src/obs/obs.hpp"
-#include "src/util/error.hpp"
 
 namespace resched::kernels {
 
 namespace {
 
-using detail::FitResult;
-using detail::KernelTable;
-
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
 
-// -- scalar table: the pre-kernel implementations, verbatim ---------------
+std::size_t segment_index(const double* keys, std::size_t n, double t) {
+  const double* it = std::upper_bound(keys, keys + n, t);
+  return static_cast<std::size_t>(it - keys) - 1;
+}
 
-void exec_times_scalar(const double* seq, const double* alpha,
-                       const int* alloc, std::size_t n, double* exec) {
+}  // namespace
+
+const char* to_string(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return "scalar";
+  }
+  return "?";
+}
+
+Isa active_isa() { return Isa::kScalar; }
+
+void exec_times(const double* seq, const double* alpha, const int* alloc,
+                std::size_t n, double* exec) {
   for (std::size_t v = 0; v < n; ++v)
     exec[v] =
         seq[v] * (alpha[v] + (1.0 - alpha[v]) / static_cast<double>(alloc[v]));
 }
 
-void bl_sweep_scalar(const DagView& dag, const double* exec, double* bl) {
+void bl_sweep(const DagView& dag, const double* exec, double* bl) {
+  OBS_PHASE("kernels.bl_sweep_ns");
   for (std::size_t r = dag.n; r-- > 0;) {
     const int v = dag.topo[r];
     double best = 0.0;
@@ -48,7 +52,7 @@ void bl_sweep_scalar(const DagView& dag, const double* exec, double* bl) {
   }
 }
 
-void tl_sweep_scalar(const DagView& dag, const double* exec, double* tl) {
+void tl_sweep(const DagView& dag, const double* exec, double* tl) {
   for (std::size_t v = 0; v < dag.n; ++v) tl[v] = 0.0;
   for (std::size_t r = 0; r < dag.n; ++r) {
     const int v = dag.topo[r];
@@ -59,19 +63,14 @@ void tl_sweep_scalar(const DagView& dag, const double* exec, double* tl) {
   }
 }
 
-std::size_t segment_index_scalar(const double* keys, std::size_t n, double t) {
-  const double* it = std::upper_bound(keys, keys + n, t);
-  return static_cast<std::size_t>(it - keys) - 1;
-}
-
-FitResult earliest_fit_scalar(const double* keys, const int* values,
-                              std::size_t n, int procs, double duration,
-                              double not_before) {
+std::optional<double> earliest_fit_flat(const double* keys, const int* values,
+                                        std::size_t n, int procs,
+                                        double duration, double not_before) {
   // Scan segments from not_before, tracking the start of the current
   // contiguous feasible run.
   bool have_run = false;
   double run_start = 0.0;
-  for (std::size_t i = segment_index_scalar(keys, n, not_before); i < n; ++i) {
+  for (std::size_t i = segment_index(keys, n, not_before); i < n; ++i) {
     double seg_start = std::max(keys[i], not_before);
     double seg_end = i + 1 < n ? keys[i + 1] : kPosInf;
     if (seg_end <= not_before) continue;
@@ -83,23 +82,24 @@ FitResult earliest_fit_scalar(const double* keys, const int* values,
       // Direct comparison (not seg_end - start >= duration): the returned
       // window [start, start + duration) must not overshoot the feasible
       // run by a rounding ulp, or back-to-back reservations would overlap.
-      if (run_start + duration <= seg_end) return {true, run_start};
+      if (run_start + duration <= seg_end) return run_start;
     } else {
       have_run = false;
     }
   }
-  return {};
+  return std::nullopt;
 }
 
-FitResult latest_fit_scalar(const double* keys, const int* values,
-                            std::size_t n, int procs, double duration,
-                            double deadline, double not_before) {
-  if (deadline - duration < not_before) return {};
+std::optional<double> latest_fit_flat(const double* keys, const int* values,
+                                      std::size_t n, int procs,
+                                      double duration, double deadline,
+                                      double not_before) {
+  if (deadline - duration < not_before) return std::nullopt;
 
   // Scan segments backwards from the deadline, tracking the end of the
   // current contiguous feasible run. The first run long enough wins — any
   // other candidate start would be strictly earlier.
-  std::size_t i = segment_index_scalar(keys, n, deadline);
+  std::size_t i = segment_index(keys, n, deadline);
   bool have_run = false;
   double run_end = 0.0;
   while (true) {
@@ -120,7 +120,8 @@ FitResult latest_fit_scalar(const double* keys, const int* values,
         if (start >= seg_start) {
           // Feasible within this run; honour not_before: scanning earlier
           // segments can only move the start earlier, so fail hard here.
-          return start >= not_before ? FitResult{true, start} : FitResult{};
+          return start >= not_before ? std::optional<double>(start)
+                                     : std::nullopt;
         }
       } else {
         have_run = false;
@@ -128,182 +129,9 @@ FitResult latest_fit_scalar(const double* keys, const int* values,
     }
     if (i == 0) break;
     --i;
-    if (have_run && run_end - duration < not_before) return {};
+    if (have_run && run_end - duration < not_before) return std::nullopt;
   }
-  return {};
-}
-
-constexpr KernelTable kScalarTable = {
-    exec_times_scalar, bl_sweep_scalar, tl_sweep_scalar, earliest_fit_scalar,
-    latest_fit_scalar,
-};
-
-// -- dispatch -------------------------------------------------------------
-
-const KernelTable* table_for(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return &kScalarTable;
-#if defined(RESCHED_SIMD_X86)
-    case Isa::kSse2:
-      return detail::sse2_table();
-    case Isa::kAvx2:
-      return detail::avx2_table();
-#else
-    case Isa::kSse2:
-    case Isa::kAvx2:
-      break;
-#endif
-  }
-  RESCHED_ASSERT(false, "dispatch to an unsupported kernel ISA");
-}
-
-Isa isa_from_env() {
-  const char* env = std::getenv("RESCHED_SIMD");
-  if (env == nullptr) return best_supported_isa();
-  const std::string_view s(env);
-  if (s.empty() || s == "auto") return best_supported_isa();
-  if (s == "scalar" || s == "off" || s == "0") return Isa::kScalar;
-  Isa isa = Isa::kScalar;
-  if (s == "sse2") {
-    isa = Isa::kSse2;
-  } else if (s == "avx2") {
-    isa = Isa::kAvx2;
-  } else {
-    RESCHED_CHECK(false,
-                  "RESCHED_SIMD must be auto, scalar, off, sse2, or avx2");
-  }
-  RESCHED_CHECK(isa_supported(isa),
-                "RESCHED_SIMD forces an ISA this build/machine lacks");
-  return isa;
-}
-
-// Both resolved once at first use (or by force_isa). The pair is stored as
-// two relaxed atomics: a racing first use resolves the same environment to
-// the same table, so the worst case is redundant identical stores.
-std::atomic<const KernelTable*> g_table{nullptr};
-std::atomic<Isa> g_isa{Isa::kScalar};
-
-void store_isa(Isa isa) {
-  g_isa.store(isa, std::memory_order_relaxed);
-  g_table.store(table_for(isa), std::memory_order_release);
-}
-
-const KernelTable& active_table() {
-  const KernelTable* table = g_table.load(std::memory_order_acquire);
-  if (table != nullptr) return *table;
-  store_isa(isa_from_env());
-  return *g_table.load(std::memory_order_acquire);
-}
-
-/// One relaxed counter bump per kernel call, so traces and bench metric
-/// dumps record which table actually served the hot paths.
-void count_dispatch() {
-  switch (g_isa.load(std::memory_order_relaxed)) {
-    case Isa::kScalar:
-      OBS_COUNT("kernels.dispatch.scalar", 1);
-      break;
-    case Isa::kSse2:
-      OBS_COUNT("kernels.dispatch.sse2", 1);
-      break;
-    case Isa::kAvx2:
-      OBS_COUNT("kernels.dispatch.avx2", 1);
-      break;
-  }
-}
-
-}  // namespace
-
-const char* to_string(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return "scalar";
-    case Isa::kSse2:
-      return "sse2";
-    case Isa::kAvx2:
-      return "avx2";
-  }
-  return "?";
-}
-
-bool isa_supported(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-#if defined(RESCHED_SIMD_X86)
-    case Isa::kSse2:
-      return __builtin_cpu_supports("sse2") != 0;
-    case Isa::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-    case Isa::kSse2:
-    case Isa::kAvx2:
-      return false;
-#endif
-  }
-  return false;
-}
-
-Isa best_supported_isa() {
-  if (isa_supported(Isa::kAvx2)) return Isa::kAvx2;
-  if (isa_supported(Isa::kSse2)) return Isa::kSse2;
-  return Isa::kScalar;
-}
-
-Isa active_isa() {
-  active_table();  // resolve on first use
-  return g_isa.load(std::memory_order_relaxed);
-}
-
-void force_isa(Isa isa) {
-  RESCHED_CHECK(isa_supported(isa),
-                "cannot force a kernel ISA this build/machine lacks");
-  store_isa(isa);
-}
-
-ScopedIsa::ScopedIsa(Isa isa) : prev_(active_isa()) { force_isa(isa); }
-
-ScopedIsa::~ScopedIsa() { force_isa(prev_); }
-
-void exec_times(const double* seq, const double* alpha, const int* alloc,
-                std::size_t n, double* exec) {
-  const KernelTable& table = active_table();
-  count_dispatch();
-  table.exec_times(seq, alpha, alloc, n, exec);
-}
-
-void bl_sweep(const DagView& dag, const double* exec, double* bl) {
-  const KernelTable& table = active_table();
-  count_dispatch();
-  OBS_PHASE("kernels.bl_sweep_ns");
-  table.bl_sweep(dag, exec, bl);
-}
-
-void tl_sweep(const DagView& dag, const double* exec, double* tl) {
-  const KernelTable& table = active_table();
-  count_dispatch();
-  table.tl_sweep(dag, exec, tl);
-}
-
-std::optional<double> earliest_fit_flat(const double* keys, const int* values,
-                                        std::size_t n, int procs,
-                                        double duration, double not_before) {
-  const KernelTable& table = active_table();
-  count_dispatch();
-  FitResult r = table.earliest_fit(keys, values, n, procs, duration,
-                                   not_before);
-  return r.found ? std::optional<double>(r.start) : std::nullopt;
-}
-
-std::optional<double> latest_fit_flat(const double* keys, const int* values,
-                                      std::size_t n, int procs,
-                                      double duration, double deadline,
-                                      double not_before) {
-  const KernelTable& table = active_table();
-  count_dispatch();
-  FitResult r = table.latest_fit(keys, values, n, procs, duration, deadline,
-                                 not_before);
-  return r.found ? std::optional<double>(r.start) : std::nullopt;
+  return std::nullopt;
 }
 
 }  // namespace resched::kernels

@@ -1,5 +1,4 @@
-// Runtime-dispatched SIMD kernels for the scheduler's innermost loops
-// (DESIGN.md §13).
+// The scheduler's innermost loops over flat arrays (DESIGN.md §13).
 //
 // Three kernel families cover the measured hot spots of the RESSCHED /
 // RESSCHEDDL paths and everything stacked on them (online engine, shards,
@@ -7,35 +6,14 @@
 //
 //   * exec_times       — elementwise exec-time evaluation streamed off the
 //                        Dag's seq_times()/alphas() SoA arrays;
-//   * bl_sweep/tl_sweep — bottom-level / top-level sweeps, batched by topo
-//                        depth (level-synchronous wavefronts) so each
-//                        wavefront is an elementwise max-over-neighbours +
-//                        add off the CSR adjacency;
-//   * earliest/latest_fit_flat — the flat-profile fit scans used below the
-//                        small-profile crossover, reformulated as runs of
-//                        compare + movemask first/last-window searches.
+//   * bl_sweep/tl_sweep — bottom-level / top-level sweeps in (reverse)
+//                        topological order off the CSR adjacency;
+//   * earliest/latest_fit_flat — the CalendarSnapshot fit scans over the
+//                        flattened step function.
 //
-// Byte-identity is the contract, not a best effort: every SIMD variant
-// produces bit-for-bit the same output as the scalar table (which is the
-// pre-kernel code moved verbatim), so golden pins, merged traces, and
-// calendar artifacts are identical at every dispatch level. The arguments
-// are spelled out in DESIGN.md §13; in short, the elementwise arithmetic
-// (sub/div/add/mul/int-convert) is correctly rounded identically per lane,
-// and max over non-NaN doubles is exact and order-insensitive, so the
-// wavefront reassociation cannot change a single bit.
-//
-// Dispatch is decided once, at first use: a CMake toggle (RESCHED_SIMD)
-// gates whether the SSE2/AVX2 translation units are built at all, cpuid
-// (via __builtin_cpu_supports) picks the best level the machine actually
-// has, and the RESCHED_SIMD environment variable ("auto", "scalar"/"off",
-// "sse2", "avx2") overrides the pick for A/B runs. Each kernel call bumps
-// an obs counter (kernels.dispatch.<isa>) so traces record what actually
-// ran; tests pin a level with ScopedIsa.
-//
-// This header is included from translation units compiled with -msse2 /
-// -mavx2. To keep those TUs from leaking ISA-contaminated COMDAT symbols
-// into the rest of the build, it deliberately defines no inline functions
-// — declarations only, all definitions live in kernels.cpp.
+// Each is one scalar loop: the pre-kernel hot-path code moved verbatim, so
+// golden pins, merged traces and calendar artifacts are unchanged. DESIGN.md
+// §13 records the measurements that rule out vector variants.
 #pragma once
 
 #include <cstddef>
@@ -43,52 +21,22 @@
 
 namespace resched::kernels {
 
-/// Dispatch levels, weakest first. kSse2/kAvx2 exist only on x86 builds
-/// with RESCHED_SIMD=ON; elsewhere isa_supported() reports them false.
-enum class Isa { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// Kernel implementations. Only the scalar loops exist; the enum and
+/// active_isa() remain so benchmark machine records name what ran.
+enum class Isa { kScalar = 0 };
 
 const char* to_string(Isa isa);
 
-/// True when `isa`'s kernel table is compiled in and the CPU supports it.
-bool isa_supported(Isa isa);
-
-/// Strongest supported level (what "auto" resolves to).
-Isa best_supported_isa();
-
-/// The level kernel calls currently dispatch to. First call resolves the
-/// RESCHED_SIMD environment override ("auto"/"scalar"/"off"/"sse2"/"avx2")
-/// against cpuid; throws resched::Error on an unknown value or a forced
-/// level the machine lacks.
+/// The implementation kernel calls run: always Isa::kScalar.
 Isa active_isa();
 
-/// Pins dispatch to `isa` (must be supported). Applies process-wide; meant
-/// for benches and differential tests, not concurrent use.
-void force_isa(Isa isa);
-
-/// RAII force_isa: restores the previous level on destruction.
-class ScopedIsa {
- public:
-  explicit ScopedIsa(Isa isa);
-  ScopedIsa(const ScopedIsa&) = delete;
-  ScopedIsa& operator=(const ScopedIsa&) = delete;
-  ~ScopedIsa();
-
- private:
-  Isa prev_;
-};
-
-/// Raw-pointer view of the Dag arrays the sweeps consume (POD on purpose:
-/// it crosses into the ISA-specific TUs). All arrays outlive the call.
+/// Raw-pointer view of the Dag arrays the sweeps consume. All arrays
+/// outlive the call.
 struct DagView {
-  std::size_t n = 0;            ///< task count
-  const int* topo = nullptr;    ///< topological order, n entries
-  const int* pred_off = nullptr;   ///< CSR predecessor offsets, n + 1
-  const int* pred_flat = nullptr;  ///< CSR predecessor endpoints
+  std::size_t n = 0;               ///< task count
+  const int* topo = nullptr;       ///< topological order, n entries
   const int* succ_off = nullptr;   ///< CSR successor offsets, n + 1
   const int* succ_flat = nullptr;  ///< CSR successor endpoints
-  const int* level_order = nullptr;  ///< tasks sorted by level, n entries
-  const int* level_off = nullptr;    ///< level bucket offsets, num_levels + 1
-  std::size_t num_levels = 0;
 };
 
 /// exec[v] = seq[v] * (alpha[v] + (1 - alpha[v]) / alloc[v]) for v in
@@ -108,16 +56,16 @@ void tl_sweep(const DagView& dag, const double* exec, double* tl);
 
 /// Earliest start >= not_before of a procs-wide, duration-long window in
 /// the flattened step function (keys[0] is the -infinity sentinel; values
-/// are raw availability). Byte-identical to the CalendarSnapshot scan;
-/// nullopt only when no segment run ever satisfies the request (the caller
-/// asserts against that for procs <= capacity profiles).
+/// are raw availability). nullopt only when no segment run ever satisfies
+/// the request (the caller asserts against that for procs <= capacity
+/// profiles).
 std::optional<double> earliest_fit_flat(const double* keys, const int* values,
                                         std::size_t n, int procs,
                                         double duration, double not_before);
 
 /// Latest start with start >= not_before and start + duration <= deadline,
-/// byte-identical to the CalendarSnapshot backward scan (including the
-/// one-ulp nextafter nudge).
+/// including the one-ulp nextafter nudge that keeps the window inside its
+/// feasible run.
 std::optional<double> latest_fit_flat(const double* keys, const int* values,
                                       std::size_t n, int procs,
                                       double duration, double deadline,

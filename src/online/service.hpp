@@ -51,6 +51,7 @@
 #include "src/online/online_metrics.hpp"
 #include "src/online/trace.hpp"
 #include "src/resv/profile.hpp"
+#include "src/resv/snapshot.hpp"
 
 namespace resched::ft {
 struct ServiceAccess;

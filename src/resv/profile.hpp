@@ -16,15 +16,16 @@
 // the index skips uniform stretches of calendar wholesale and is maintained
 // incrementally through add/release/commit/rollback/compact, so the online
 // engine and every §4/§5 algorithm benefit without call-site changes. The
-// legacy linear scan survives as resv::LinearProfile, the differential-test
-// oracle: both implementations return byte-identical fit results.
+// treap is the only path for these queries. The legacy linear scan
+// survives as resv::LinearProfile in the test-support library
+// (tests/support/), the differential oracle: both return byte-identical fit
+// results. Callers that probe one frozen calendar many times take an
+// explicit CalendarSnapshot instead (DESIGN.md §11).
 // Over-subscribed instants (more reserved than capacity, possible when
 // synthetic transforms inject reservations) clamp to zero availability.
-// Below a measured crossover size the treap descent loses to a streaming
-// scan over flat arrays, so small profiles answer fit queries from an
-// internal CalendarSnapshot (rebuilt lazily, keyed on the profile's
-// mutation epoch) running the oracle's exact arithmetic — the answers stay
-// byte-identical on both sides of the crossover (DESIGN.md §11).
+//
+// Const queries write nothing, so any number of threads may query one
+// profile concurrently as long as no thread mutates it.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +36,6 @@
 
 #include "src/resv/fit_query.hpp"
 #include "src/resv/reservation.hpp"
-#include "src/resv/snapshot.hpp"
 #include "src/resv/step_index.hpp"
 
 namespace resched::resv {
@@ -133,13 +133,6 @@ class AvailabilityProfile {
   /// capacity, so repeated flattening allocates nothing in steady state.
   void flatten_into(std::vector<double>& keys, std::vector<int>& values) const;
 
-  /// Profiles with at most this many breakpoints (sentinel included)
-  /// answer fit queries from the flat snapshot instead of the treap; 0
-  /// disables the fast path. Process-wide; tuned by bench_hotpath
-  /// (DESIGN.md §11 records the measured crossover).
-  static int small_profile_crossover();
-  static void set_small_profile_crossover(int breakpoints);
-
   /// Time-average of available processors over [from, to), from < to.
   double average_available(double from, double to) const;
 
@@ -169,19 +162,10 @@ class AvailabilityProfile {
   std::vector<std::pair<double, int>> canonical_steps() const;
 
  private:
-  /// True when fit queries should take the flat-scan fast path.
-  bool use_flat() const;
-  /// Internal snapshot, refreshed if the profile mutated since last use.
-  /// Const queries may rebuild it — a profile, like before, may serve
-  /// concurrent readers only if no one mutates it AND the snapshot is warm
-  /// (in practice each calendar is owned by one engine/shard worker).
-  const CalendarSnapshot& flat() const;
-
   StepIndex index_;  // treap over the availability steps; -inf sentinel
   int capacity_;
   int reservation_count_ = 0;
   std::uint64_t epoch_;
-  mutable CalendarSnapshot flat_;  // lazy; stays warm across clones
 };
 
 /// Historical average number of available processors q (paper §4.2,

@@ -18,13 +18,10 @@ bool CalendarSnapshot::fresh(const AvailabilityProfile& profile) const {
   return epoch_ != 0 && epoch_ == profile.epoch();
 }
 
-// The scans are the dispatched flat-fit kernels (src/kernels/): the scalar
-// table is this class's pre-kernel per-segment scan — itself the
-// LinearProfile oracle's scan verbatim, with map iterators replaced by
-// array indices — and the SIMD tables are byte-identical to it by the
-// run-reformulation argument in DESIGN.md §13 (and differentially fuzzed
-// in tests/kernels_test.cpp). So every answer remains byte-identical to
-// the oracle and the treap at every dispatch level.
+// The scans are the flat-fit kernels (src/kernels/): this class's
+// pre-kernel per-segment scan — itself the LinearProfile oracle's scan
+// verbatim, with map iterators replaced by array indices. So every answer
+// is byte-identical to the oracle and the treap.
 
 std::optional<double> CalendarSnapshot::earliest_fit(int procs,
                                                      double duration,

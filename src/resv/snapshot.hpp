@@ -4,30 +4,31 @@
 // A CalendarSnapshot is the step function of an AvailabilityProfile frozen
 // into two parallel arrays: segment start times (keys, leading with the
 // -infinity sentinel) and raw availability values. Fit queries against the
-// snapshot go through the dispatched flat-fit kernels (src/kernels/),
-// whose scalar table is the legacy linear scan of resv::LinearProfile —
-// the differential oracle — run over contiguous memory instead of a
-// pointer tree, so every answer is byte-identical to both the oracle and
-// the treap (resv::StepIndex) at every dispatch level: same segments, same
+// snapshot run the flat-fit kernels (src/kernels/), which are the legacy
+// linear scan of resv::LinearProfile — the differential oracle — over
+// contiguous memory instead of a map, so every answer is byte-identical to
+// both the oracle and the treap (resv::StepIndex): same segments, same
 // arithmetic, same one-ulp nudge in latest_fit.
 //
-// Two call-site patterns build on it:
+// AvailabilityProfile never consults a snapshot itself; single fit queries
+// always descend the treap. Snapshots are for callers that probe one
+// frozen calendar many times and own the snapshot explicitly:
 //
-//   * small-profile fast path — below a measured crossover size the
-//     AvailabilityProfile answers its own fit queries from an internal
-//     snapshot rather than descending the treap: at Table-4 calendar sizes
-//     a branch-predictable streaming scan beats the O(log R) pointer chase
-//     (the treap takes over above the crossover, where its pruning wins);
+//   * finish-floor probes — the online engine, the shard router and
+//     core::tightest_deadline probe admission lower bounds
+//     (core::earliest_finish_floor) against a snapshot keyed by the
+//     profile's mutation epoch. Consecutive jobs, and consecutive
+//     spillover probes across shards, hit the same frozen arrays with zero
+//     rebuilds until the calendar actually changes;
 //
-//   * cross-job snapshot reuse — the online engine and the shard router
-//     probe admission lower bounds (core::earliest_finish_floor) against a
-//     snapshot keyed by the profile's mutation epoch. Consecutive jobs,
-//     and consecutive spillover probes across shards, hit the same frozen
-//     arrays with zero rebuilds until the calendar actually changes.
+//   * batched admission — reschedd's ServerCore::apply_batch answers a
+//     pipelined burst's floor queries through one snapshot and one
+//     fit_many_into pass.
 //
 // refresh() is cheap when nothing changed (one epoch compare) and O(R)
 // when it did; the arrays keep their capacity across rebuilds, so a warm
-// snapshot allocates nothing in steady state.
+// snapshot allocates nothing in steady state. A snapshot is mutated only by
+// refresh(); sharing one across threads needs the owner's synchronization.
 #pragma once
 
 #include <cstdint>

@@ -24,11 +24,11 @@
 #include <sstream>
 #include <vector>
 
-#include "src/resv/linear_profile.hpp"
 #include "src/resv/profile.hpp"
 #include "src/util/env.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/linear_profile.hpp"
 
 namespace {
 

@@ -30,9 +30,9 @@
 #include "src/dag/daggen.hpp"
 #include "src/online/service.hpp"
 #include "src/online/trace.hpp"
-#include "src/resv/linear_profile.hpp"
 #include "src/util/env.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/linear_profile.hpp"
 
 namespace {
 

@@ -13,8 +13,8 @@
 #include "src/dag/daggen.hpp"
 #include "src/icaslb/icaslb.hpp"
 #include "src/multi/deadline_multi.hpp"
-#include "src/resv/linear_profile.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/linear_profile.hpp"
 
 namespace {
 

@@ -1,20 +1,17 @@
-// Differential fuzz for the SIMD kernel layer (src/kernels/): every
-// compiled-in SIMD table against the scalar table, which is the pre-kernel
-// code moved verbatim. Byte-identity is the contract (DESIGN.md §13), so
-// every comparison here is bit-for-bit — EXPECT_EQ on the raw payload
-// bits, never EXPECT_NEAR.
+// Tests for the kernel loops (src/kernels/). Byte-identity with the code
+// they replaced is the contract (DESIGN.md §13), so every comparison here
+// is bit-for-bit — EXPECT_EQ on the raw payload bits, never EXPECT_NEAR.
 //
-// Coverage: elementwise exec-time evaluation across tail lengths 0..vector
-// width and denormal/huge/degenerate-alpha inputs; bottom/top-level sweeps
-// over random daggen instances plus adversarial families (chains, stars,
-// dense bipartite layers); flat-profile fit scans over random step
-// functions — empty-profile edge (sentinel only), exact-key queries,
-// infeasible tails, deadline-slack underflow — cross-checked against the
-// LinearProfile oracle through CalendarSnapshot; and end-to-end RESSCHED
-// runs pinned to each dispatch level.
+// Coverage: the exec-time and bottom/top-level sweeps against their
+// definitions (dag::exec_time and the per-task recurrences over the
+// adjacency lists) on random daggen instances plus chains, stars and dense
+// bipartite layers, including the fused in-place bottom-level overload;
+// and the flat-profile fit scans, through CalendarSnapshot, against the
+// LinearProfile oracle — sentinel-only profiles, exact-key queries and
+// deadline-slack underflow included.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -22,30 +19,16 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/ressched.hpp"
 #include "src/dag/dag.hpp"
 #include "src/dag/daggen.hpp"
-#include "src/kernels/kernels.hpp"
-#include "src/resv/linear_profile.hpp"
 #include "src/resv/profile.hpp"
 #include "src/resv/snapshot.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/linear_profile.hpp"
 
 namespace {
 
 using namespace resched;
-using kernels::Isa;
-using kernels::ScopedIsa;
-
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-/// Every ISA whose table is compiled in and runnable here, scalar included.
-std::vector<Isa> supported_isas() {
-  std::vector<Isa> out{Isa::kScalar};
-  for (Isa isa : {Isa::kSse2, Isa::kAvx2})
-    if (kernels::isa_supported(isa)) out.push_back(isa);
-  return out;
-}
 
 std::uint64_t bits(double x) {
   std::uint64_t u;
@@ -66,79 +49,17 @@ std::uint64_t bits(double x) {
 }
 
 void expect_same_doubles(const std::vector<double>& want,
-                         const std::vector<double>& got, const char* what,
-                         Isa isa) {
+                         const std::vector<double>& got, const char* what) {
   ASSERT_EQ(want.size(), got.size()) << what;
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_EQ(bits(want[i]), bits(got[i]))
-        << what << " diverges from scalar at index " << i << " under "
-        << kernels::to_string(isa) << ": " << std::hexfloat << want[i]
-        << " vs " << got[i];
+        << what << " diverges from its definition at index " << i << ": "
+        << std::hexfloat << want[i] << " vs " << got[i];
 }
 
-TEST(KernelDispatch, ReportsAndPinsSupportedLevels) {
-  EXPECT_TRUE(kernels::isa_supported(Isa::kScalar));
-  Isa best = kernels::best_supported_isa();
-  EXPECT_TRUE(kernels::isa_supported(best));
-  EXPECT_TRUE(kernels::isa_supported(kernels::active_isa()));
-  Isa before = kernels::active_isa();
-  for (Isa isa : supported_isas()) {
-    ScopedIsa pin(isa);
-    EXPECT_EQ(kernels::active_isa(), isa);
-  }
-  EXPECT_EQ(kernels::active_isa(), before);
-  EXPECT_STREQ(kernels::to_string(Isa::kScalar), "scalar");
-  EXPECT_STREQ(kernels::to_string(Isa::kSse2), "sse2");
-  EXPECT_STREQ(kernels::to_string(Isa::kAvx2), "avx2");
-}
-
-TEST(KernelExecTimes, MatchesScalarBytewise) {
-  util::Rng rng(0xE1);
-  constexpr double kDenormal = 4.9406564584124654e-324;
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                        std::size_t{3}, std::size_t{4}, std::size_t{5},
-                        std::size_t{7}, std::size_t{8}, std::size_t{9},
-                        std::size_t{15}, std::size_t{16}, std::size_t{17},
-                        std::size_t{33}, std::size_t{100}, std::size_t{257}}) {
-    std::vector<double> seq(n), alpha(n);
-    std::vector<int> alloc(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      switch (rng.uniform_int(0, 4)) {
-        case 0: seq[i] = kDenormal; break;              // denormal seq time
-        case 1: seq[i] = 1e300; break;                  // huge seq time
-        case 2: seq[i] = rng.uniform(1e-12, 1.0); break;
-        default: seq[i] = rng.uniform(60.0, 36000.0); break;
-      }
-      switch (rng.uniform_int(0, 4)) {
-        case 0: alpha[i] = 0.0; break;                  // perfectly parallel
-        case 1: alpha[i] = 1.0; break;                  // fully sequential
-        case 2: alpha[i] = kDenormal; break;
-        default: alpha[i] = rng.uniform(0.0, 1.0); break;
-      }
-      alloc[i] = rng.bernoulli(0.1)
-                     ? (1 << 30)                        // giant allocation
-                     : static_cast<int>(rng.uniform_int(1, 512));
-    }
-    std::vector<double> want(n), got(n);
-    {
-      ScopedIsa pin(Isa::kScalar);
-      kernels::exec_times(seq.data(), alpha.data(), alloc.data(), n,
-                          want.data());
-    }
-    for (Isa isa : supported_isas()) {
-      ScopedIsa pin(isa);
-      std::fill(got.begin(), got.end(), -1.0);
-      kernels::exec_times(seq.data(), alpha.data(), alloc.data(), n,
-                          got.data());
-      expect_same_doubles(want, got, "exec_times", isa);
-    }
-  }
-}
-
-/// DAG families for the sweep differentials: random daggen instances plus
-/// shapes that stress the wavefront tails (chains: every level has one
-/// task; stars: one huge level; dense layers: wide levels with many
-/// predecessors per task, the gather-heavy case).
+/// DAG families for the sweeps: random daggen instances plus chains (every
+/// level has one task), stars (one huge level) and dense layers (many
+/// predecessors per task).
 std::vector<dag::Dag> sweep_dags() {
   std::vector<dag::Dag> dags;
   util::Rng rng(0xD4);
@@ -186,109 +107,57 @@ std::vector<dag::Dag> sweep_dags() {
 TEST(KernelSweeps, MatchScalarBytewiseOnDagFamilies) {
   util::Rng rng(0x5E);
   for (const dag::Dag& d : sweep_dags()) {
-    std::vector<int> alloc(static_cast<std::size_t>(d.size()));
+    const auto n = static_cast<std::size_t>(d.size());
+    std::vector<int> alloc(n);
     for (int& a : alloc) a = static_cast<int>(rng.uniform_int(1, 64));
-    std::vector<double> exec;
+
+    // Definitions: per-task exec_time, then the bottom-level recurrence
+    // over successors (reverse topological order) and the top-level
+    // recurrence over predecessors (topological order). Max over non-NaN
+    // doubles is exact, so the pull and push forms agree bit for bit.
+    std::vector<double> want_exec(n), want_bl(n), want_tl(n);
+    for (int v = 0; v < d.size(); ++v)
+      want_exec[static_cast<std::size_t>(v)] =
+          dag::exec_time(d.cost(v), alloc[static_cast<std::size_t>(v)]);
+    const std::vector<int>& topo = d.topological_order();
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+      double best = 0.0;
+      for (int s : d.successors(*it))
+        best = std::max(best, want_bl[static_cast<std::size_t>(s)]);
+      want_bl[static_cast<std::size_t>(*it)] =
+          want_exec[static_cast<std::size_t>(*it)] + best;
+    }
+    for (int v : topo) {
+      double best = 0.0;
+      for (int q : d.predecessors(v))
+        best = std::max(best, want_tl[static_cast<std::size_t>(q)] +
+                                  want_exec[static_cast<std::size_t>(q)]);
+      want_tl[static_cast<std::size_t>(v)] = best;
+    }
+
+    std::vector<double> exec, got;
     dag::exec_times_into(d, alloc, exec);
-
-    std::vector<double> want_bl, want_tl, got;
-    {
-      ScopedIsa pin(Isa::kScalar);
-      dag::bottom_levels_into(d, exec, want_bl);
-      dag::top_levels_into(d, exec, want_tl);
-      // The fused one-buffer overload runs the sweep in place over the
-      // exec buffer — identical to the two-buffer form by the aliasing
-      // argument in kernels.hpp, checked here for the scalar table too.
-      dag::bottom_levels_into(d, alloc, got);
-      expect_same_doubles(want_bl, got, "fused bottom_levels_into",
-                          Isa::kScalar);
-    }
-    for (Isa isa : supported_isas()) {
-      ScopedIsa pin(isa);
-      dag::bottom_levels_into(d, exec, got);
-      expect_same_doubles(want_bl, got, "bottom_levels_into", isa);
-      dag::bottom_levels_into(d, alloc, got);
-      expect_same_doubles(want_bl, got, "fused bottom_levels_into", isa);
-      dag::top_levels_into(d, exec, got);
-      expect_same_doubles(want_tl, got, "top_levels_into", isa);
-    }
-  }
-}
-
-TEST(KernelFitScans, MatchScalarBytewiseOnRandomStepFunctions) {
-  util::Rng rng(0xF1);
-  // Segment counts straddle every tail length 0..8 of both vector widths
-  // (4-wide SSE2 int compares, 8-wide AVX2), plus sizes above and below
-  // them. n == 1 is the empty profile: just the -infinity sentinel.
-  for (std::size_t n = 1; n <= 40; ++n) {
-    for (int variant = 0; variant < 24; ++variant) {
-      std::vector<double> keys(n);
-      std::vector<int> values(n);
-      keys[0] = kNegInf;
-      double t = rng.uniform(-50.0, 50.0) * 3600.0;
-      for (std::size_t i = 1; i < n; ++i) {
-        // Mix sliver and hour-scale gaps so runs of every length appear.
-        t += rng.bernoulli(0.3) ? rng.uniform(1e-9, 1e-3)
-                                : rng.uniform(0.1, 6.0) * 3600.0;
-        keys[i] = t;
-      }
-      for (std::size_t i = 0; i < n; ++i)
-        values[i] = static_cast<int>(rng.uniform_int(-3, 12));
-      if (rng.bernoulli(0.5)) values[n - 1] = 64;  // feasible tail
-
-      for (int q = 0; q < 12; ++q) {
-        int procs = static_cast<int>(rng.uniform_int(1, 13));
-        double duration = rng.bernoulli(0.25) ? rng.uniform(1e-12, 1e-6)
-                                              : rng.uniform(0.1, 9.0) * 3600.0;
-        // Exact-key anchors hit the first/last-window boundary cases the
-        // movemask searches must resolve identically to the scalar scan.
-        double not_before =
-            rng.bernoulli(0.3) && n > 1
-                ? keys[static_cast<std::size_t>(
-                      rng.uniform_int(1, static_cast<std::int64_t>(n) - 1))]
-                : rng.uniform(-60.0, 60.0) * 3600.0;
-        // Occasionally underflow the slack: deadline - duration <
-        // not_before must yield nullopt at every level.
-        double deadline =
-            not_before + (rng.bernoulli(0.2)
-                              ? rng.uniform(0.0, duration)
-                              : duration + rng.uniform(0.0, 40.0) * 3600.0);
-
-        std::optional<double> want_e, want_l;
-        {
-          ScopedIsa pin(Isa::kScalar);
-          want_e = kernels::earliest_fit_flat(keys.data(), values.data(), n,
-                                              procs, duration, not_before);
-          want_l =
-              kernels::latest_fit_flat(keys.data(), values.data(), n, procs,
-                                       duration, deadline, not_before);
-        }
-        for (Isa isa : supported_isas()) {
-          ScopedIsa pin(isa);
-          auto got_e = kernels::earliest_fit_flat(
-              keys.data(), values.data(), n, procs, duration, not_before);
-          EXPECT_TRUE(same_fit(want_e, got_e))
-              << "earliest_fit n=" << n << " procs=" << procs << " under "
-              << kernels::to_string(isa);
-          auto got_l =
-              kernels::latest_fit_flat(keys.data(), values.data(), n, procs,
-                                       duration, deadline, not_before);
-          EXPECT_TRUE(same_fit(want_l, got_l))
-              << "latest_fit n=" << n << " procs=" << procs << " under "
-              << kernels::to_string(isa);
-        }
-      }
-    }
+    expect_same_doubles(want_exec, exec, "exec_times_into");
+    dag::bottom_levels_into(d, exec, got);
+    expect_same_doubles(want_bl, got, "bottom_levels_into");
+    // The fused one-buffer overload runs the sweep in place over the exec
+    // buffer (the aliasing contract in kernels.hpp).
+    dag::bottom_levels_into(d, alloc, got);
+    expect_same_doubles(want_bl, got, "fused bottom_levels_into");
+    dag::top_levels_into(d, exec, got);
+    expect_same_doubles(want_tl, got, "top_levels_into");
   }
 }
 
 TEST(KernelFitScans, SnapshotMatchesLinearOracleAtEveryIsa) {
   util::Rng rng(0xCA);
-  for (int trial = 0; trial < 6; ++trial) {
+  for (int trial = 0; trial < 8; ++trial) {
     const int p = static_cast<int>(rng.uniform_int(4, 48));
     resv::AvailabilityProfile profile(p);
     resv::LinearProfile oracle(p);
-    const int n_res = static_cast<int>(rng.uniform_int(0, 60));
+    // Trial 0 is the empty profile: the snapshot holds only the -infinity
+    // sentinel segment.
+    const int n_res = trial == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 60));
     for (int i = 0; i < n_res; ++i) {
       double start = rng.uniform(-12.0, 96.0) * 3600.0;
       double dur = rng.bernoulli(0.2) ? rng.uniform(1e-9, 1e-3)
@@ -300,64 +169,35 @@ TEST(KernelFitScans, SnapshotMatchesLinearOracleAtEveryIsa) {
     }
     resv::CalendarSnapshot snap;
     snap.refresh(profile);
-    for (int q = 0; q < 40; ++q) {
+    const std::vector<double> keys = oracle.breakpoints();
+    auto any_key = [&] {
+      return keys[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(keys.size()) - 1))];
+    };
+    for (int q = 0; q < 60; ++q) {
       int procs = static_cast<int>(rng.uniform_int(1, p));
-      double duration = rng.uniform(1.0, 20.0 * 3600.0);
-      double not_before = rng.uniform(-20.0, 90.0) * 3600.0;
-      double deadline = not_before + rng.uniform(0.0, 40.0) * 3600.0;
-      auto oracle_e = oracle.earliest_fit(procs, duration, not_before);
-      auto oracle_l = oracle.latest_fit(procs, duration, deadline, not_before);
-      for (Isa isa : supported_isas()) {
-        ScopedIsa pin(isa);
-        EXPECT_TRUE(
-            same_fit(oracle_e, snap.earliest_fit(procs, duration, not_before)))
-            << "earliest_fit vs oracle under " << kernels::to_string(isa);
-        EXPECT_TRUE(same_fit(
-            oracle_l, snap.latest_fit(procs, duration, deadline, not_before)))
-            << "latest_fit vs oracle under " << kernels::to_string(isa);
-      }
-    }
-  }
-}
-
-TEST(KernelEndToEnd, ResschedSchedulesBytewiseIdenticalAcrossIsas) {
-  util::Rng rng(0xAB);
-  for (int trial = 0; trial < 3; ++trial) {
-    dag::DagSpec spec;
-    spec.num_tasks = 40;
-    dag::Dag d = dag::generate(spec, rng);
-    const int p = 48;
-    resv::ReservationList list;
-    for (int i = 0; i < 20; ++i) {
-      double start = rng.uniform(-12.0, 96.0) * 3600.0;
-      list.push_back({start, start + rng.uniform(0.5, 10.0) * 3600.0,
-                      static_cast<int>(rng.uniform_int(1, p / 3))});
-    }
-    resv::AvailabilityProfile profile(p, list);
-    int q = resv::historical_average_available(profile, 0.0, 86400.0);
-    core::ResschedParams params;  // BL_CPAR / BD_CPAR defaults
-
-    core::ResschedResult want;
-    {
-      ScopedIsa pin(Isa::kScalar);
-      want = core::schedule_ressched(d, profile, 0.0, q, params);
-    }
-    for (Isa isa : supported_isas()) {
-      ScopedIsa pin(isa);
-      auto got = core::schedule_ressched(d, profile, 0.0, q, params);
-      ASSERT_EQ(want.schedule.tasks.size(), got.schedule.tasks.size());
-      for (std::size_t v = 0; v < want.schedule.tasks.size(); ++v) {
-        const auto& a = want.schedule.tasks[v];
-        const auto& b = got.schedule.tasks[v];
-        EXPECT_EQ(a.procs, b.procs)
-            << "task " << v << " under " << kernels::to_string(isa);
-        EXPECT_EQ(bits(a.start), bits(b.start))
-            << "task " << v << " under " << kernels::to_string(isa);
-        EXPECT_EQ(bits(a.finish), bits(b.finish))
-            << "task " << v << " under " << kernels::to_string(isa);
-      }
-      EXPECT_EQ(bits(want.turnaround), bits(got.turnaround));
-      EXPECT_EQ(bits(want.cpu_hours), bits(got.cpu_hours));
+      double duration = rng.bernoulli(0.2) ? rng.uniform(1e-12, 1e-6)
+                                           : rng.uniform(1.0, 20.0 * 3600.0);
+      // Exact-key anchors hit the run-boundary cases of both scans.
+      double not_before = !keys.empty() && rng.bernoulli(0.3)
+                              ? any_key()
+                              : rng.uniform(-20.0, 90.0) * 3600.0;
+      // Sometimes underflow the slack (deadline - duration < not_before),
+      // sometimes end exactly on a breakpoint.
+      double deadline =
+          rng.bernoulli(0.2)
+              ? not_before + rng.uniform(0.0, duration)
+              : (!keys.empty() && rng.bernoulli(0.2)
+                     ? any_key()
+                     : not_before + duration +
+                           rng.uniform(0.0, 40.0) * 3600.0);
+      EXPECT_TRUE(same_fit(oracle.earliest_fit(procs, duration, not_before),
+                           snap.earliest_fit(procs, duration, not_before)))
+          << "earliest_fit vs oracle, trial " << trial << " query " << q;
+      EXPECT_TRUE(
+          same_fit(oracle.latest_fit(procs, duration, deadline, not_before),
+                   snap.latest_fit(procs, duration, deadline, not_before)))
+          << "latest_fit vs oracle, trial " << trial << " query " << q;
     }
   }
 }

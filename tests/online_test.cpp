@@ -12,10 +12,10 @@
 #include "src/online/replay.hpp"
 #include "src/online/service.hpp"
 #include "src/online/trace.hpp"
-#include "src/resv/linear_profile.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/swf.hpp"
+#include "tests/support/linear_profile.hpp"
 
 namespace {
 

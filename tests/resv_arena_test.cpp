@@ -4,9 +4,9 @@
 // suite targets the memory-layout machinery specifically:
 //
 //   * churn that hammers the treap-node free list (release → re-add over
-//     and over) must stay byte-identical to the LinearProfile oracle on
-//     BOTH query paths — the treap (small-profile crossover forced off)
-//     and the flat snapshot fast path (crossover forced on);
+//     and over) must stay byte-identical to the LinearProfile oracle, both
+//     through the profile's own (treap) queries and through a
+//     CalendarSnapshot refreshed after every mutation;
 //   * steady-state churn must not touch the heap: the process-wide
 //     resv::arena_heap_allocs() counter is a deterministic regression
 //     signal where wall-clock noise would hide an accidental allocation;
@@ -19,9 +19,10 @@
 #include <vector>
 
 #include "src/resv/arena.hpp"
-#include "src/resv/linear_profile.hpp"
 #include "src/resv/profile.hpp"
+#include "src/resv/snapshot.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/linear_profile.hpp"
 
 namespace {
 
@@ -30,20 +31,6 @@ using resv::AvailabilityProfile;
 using resv::LinearProfile;
 using resv::Reservation;
 
-class CrossoverGuard {
- public:
-  explicit CrossoverGuard(int breakpoints)
-      : saved_(AvailabilityProfile::small_profile_crossover()) {
-    AvailabilityProfile::set_small_profile_crossover(breakpoints);
-  }
-  ~CrossoverGuard() {
-    AvailabilityProfile::set_small_profile_crossover(saved_);
-  }
-
- private:
-  int saved_;
-};
-
 Reservation random_reservation(util::Rng& rng, int capacity) {
   double start = rng.uniform(0.0, 200.0) * 3600.0;
   double dur = rng.uniform(0.25, 12.0) * 3600.0;
@@ -51,14 +38,19 @@ Reservation random_reservation(util::Rng& rng, int capacity) {
   return {start, start + dur, procs};
 }
 
-/// Asserts the full observable surface matches the oracle bitwise. The
-/// queries are seeded, so a divergence replays from the test's seed.
+/// Asserts the full observable surface matches the oracle bitwise: the
+/// profile's own fit queries and a batch through `snap`, refreshed from
+/// the profile first. The queries are seeded, so a divergence replays from
+/// the test's seed.
 void expect_matches_oracle(const AvailabilityProfile& indexed,
+                           resv::CalendarSnapshot& snap,
                            const LinearProfile& oracle, util::Rng& rng,
                            int step) {
   ASSERT_EQ(indexed.breakpoints(), oracle.breakpoints())
       << "breakpoints diverged at churn step " << step;
   const int cap = indexed.capacity();
+  std::vector<resv::FitQuery> batch;
+  std::vector<std::optional<double>> want;
   for (int q = 0; q < 8; ++q) {
     int procs = static_cast<int>(rng.uniform_int(1, cap));
     double duration = rng.uniform(0.1, 24.0 * 3600.0);
@@ -67,20 +59,30 @@ void expect_matches_oracle(const AvailabilityProfile& indexed,
     std::optional<double> a = indexed.earliest_fit(procs, duration, not_before);
     std::optional<double> b = oracle.earliest_fit(procs, duration, not_before);
     ASSERT_EQ(a, b) << "earliest_fit diverged at churn step " << step;
+    batch.push_back(resv::FitQuery::earliest(procs, duration, not_before));
+    want.push_back(b);
     a = indexed.latest_fit(procs, duration, deadline, not_before);
     b = oracle.latest_fit(procs, duration, deadline, not_before);
     ASSERT_EQ(a, b) << "latest_fit diverged at churn step " << step;
+    batch.push_back(
+        resv::FitQuery::latest(procs, duration, deadline, not_before));
+    want.push_back(b);
   }
+  ASSERT_TRUE(snap.refresh(indexed))
+      << "every mutation must invalidate the snapshot (step " << step << ")";
+  std::vector<std::optional<double>> got;
+  snap.fit_many_into(batch, got);
+  ASSERT_EQ(got, want) << "snapshot fit_many_into diverged at churn step "
+                       << step;
 }
 
 /// Seeded interleaved commit / release / compact churn, compared against
-/// the oracle after every mutation. `crossover` selects which query path
-/// the indexed profile answers from.
-void churn_differential(int crossover, std::uint64_t seed) {
-  CrossoverGuard guard(crossover);
+/// the oracle after every mutation.
+void churn_differential(std::uint64_t seed) {
   constexpr int kCapacity = 64;
   util::Rng rng(util::derive_seed(0xA4E7A, {seed}));
   AvailabilityProfile indexed(kCapacity);
+  resv::CalendarSnapshot snap;
   LinearProfile oracle(kCapacity);
   std::vector<Reservation> live;
 
@@ -113,18 +115,12 @@ void churn_differential(int crossover, std::uint64_t seed) {
       std::erase_if(live,
                     [horizon](const Reservation& r) { return r.start < horizon; });
     }
-    expect_matches_oracle(indexed, oracle, rng, step);
+    expect_matches_oracle(indexed, snap, oracle, rng, step);
   }
 }
 
 TEST(ResvArena, ChurnMatchesOracleOnTreapPath) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed)
-    churn_differential(/*crossover=*/0, seed);
-}
-
-TEST(ResvArena, ChurnMatchesOracleOnFlatPath) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed)
-    churn_differential(/*crossover=*/1 << 30, seed);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) churn_differential(seed);
 }
 
 TEST(ResvArena, SteadyStateChurnDoesNotTouchTheHeap) {

@@ -16,11 +16,12 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "src/resv/linear_profile.hpp"
 #include "src/resv/profile.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/linear_profile.hpp"
 
 namespace {
 
@@ -373,6 +374,63 @@ TEST(ResvIndex, FitManyMatchesScalarQueries) {
   EXPECT_EQ(profile.earliest_fit(10, 600.0, -100.0), batch[1]);
   EXPECT_EQ(profile.latest_fit(4, 900.0, 7200.0, 0.0), batch[2]);
   EXPECT_EQ(profile.latest_fit(10, 900.0, 3600.0, 0.0), batch[3]);
+}
+
+// Const fit queries write nothing, so several threads may query one
+// unmutated profile at once. The calendar stays under 128 breakpoints (the
+// size below which fit queries once rebuilt a cached snapshot from inside
+// the const call) and is never queried before the readers start, so the
+// first queries of every thread overlap.
+TEST(ResvIndex, ConcurrentReadersOfOneProfileAgreeWithTheOracle) {
+  constexpr int kCapacity = 32;
+  util::Rng rng(0x7EAD);
+  AvailabilityProfile profile(kCapacity);
+  LinearProfile oracle(kCapacity);
+  for (int i = 0; i < 40; ++i) {
+    double start = rng.uniform(0.0, 48.0) * 3600.0;
+    Reservation r{start, start + rng.uniform(0.5, 6.0) * 3600.0,
+                  static_cast<int>(rng.uniform_int(1, kCapacity))};
+    profile.add(r);
+    oracle.add(r);
+  }
+  ASSERT_LT(oracle.breakpoints().size(), 128u);
+
+  std::vector<FitQuery> queries;
+  std::vector<std::optional<double>> want;
+  for (int q = 0; q < 64; ++q) {
+    int procs = static_cast<int>(rng.uniform_int(1, kCapacity));
+    double duration = rng.uniform(0.1, 8.0) * 3600.0;
+    double not_before = rng.uniform(0.0, 40.0) * 3600.0;
+    if (q % 2 == 0) {
+      queries.push_back(FitQuery::earliest(procs, duration, not_before));
+      want.push_back(oracle.earliest_fit(procs, duration, not_before));
+    } else {
+      double deadline = not_before + rng.uniform(1.0, 30.0) * 3600.0;
+      queries.push_back(
+          FitQuery::latest(procs, duration, deadline, not_before));
+      want.push_back(oracle.latest_fit(procs, duration, deadline, not_before));
+    }
+  }
+
+  constexpr int kReaders = 4;
+  std::vector<int> mismatches(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t)
+    readers.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round)
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const FitQuery& q = queries[i];
+          std::optional<double> got =
+              q.kind == FitKind::kEarliest
+                  ? profile.earliest_fit(q.procs, q.duration, q.not_before)
+                  : profile.latest_fit(q.procs, q.duration, q.deadline,
+                                       q.not_before);
+          if (got != want[i]) ++mismatches[static_cast<std::size_t>(t)];
+        }
+    });
+  for (std::thread& r : readers) r.join();
+  for (int t = 0; t < kReaders; ++t)
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "reader " << t;
 }
 
 }  // namespace

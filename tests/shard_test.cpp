@@ -22,11 +22,11 @@
 #include "src/online/replay.hpp"
 #include "src/online/service.hpp"
 #include "src/online/trace.hpp"
-#include "src/resv/linear_profile.hpp"
 #include "src/shard/shard_pool.hpp"
 #include "src/shard/sharded_service.hpp"
 #include "src/util/error.hpp"
 #include "src/workload/log.hpp"
+#include "tests/support/linear_profile.hpp"
 
 namespace {
 

@@ -1,4 +1,4 @@
-#include "src/resv/linear_profile.hpp"
+#include "tests/support/linear_profile.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -8,8 +8,9 @@
 // wrong. The indexed profile must return byte-identical answers for every
 // query — the property/differential suites (tests/resv_index_test.cpp,
 // tests/fuzz_test.cpp) and bench_resv_index enforce and measure exactly
-// that. Production call sites use AvailabilityProfile; nothing outside
-// tests and benches should depend on this class.
+// that. It lives in the test-support library (resched_test_support), so no
+// production library ships it; production call sites use
+// AvailabilityProfile.
 #pragma once
 
 #include <map>

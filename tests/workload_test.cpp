@@ -13,6 +13,15 @@
 #include "src/workload/synth.hpp"
 #include "src/workload/tagging.hpp"
 
+namespace resched::workload {
+
+// Prints a spec by its platform name in test IDs. gtest's default byte dump
+// would include the std::string's data pointer, so the parameterized test
+// names would change with the heap layout from one build or run to the next.
+void PrintTo(const SyntheticLogSpec& spec, std::ostream* os) { *os << spec.name; }
+
+}  // namespace resched::workload
+
 namespace {
 
 using namespace resched;
