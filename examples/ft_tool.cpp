@@ -3,7 +3,7 @@
 //
 //   ./build/examples/ft_tool inject [options]
 //
-// Workload (same knobs as online_replay):
+// Workload (the same knobs as trace_tool replay):
 //     --swf PATH          replay an SWF log (default: a synthetic log)
 //     --jobs N            truncate the stream to its first N jobs (150)
 //     --tasks N           tasks per submitted application DAG (10)

@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <optional>
@@ -133,9 +134,28 @@ void Server::stop() {
   for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
 }
 
+void Server::reap_finished() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    for (const std::thread::id id : finished_) {
+      auto it = std::find_if(threads_.begin(), threads_.end(),
+                             [id](const std::thread& t) {
+                               return t.get_id() == id;
+                             });
+      done.push_back(std::move(*it));
+      threads_.erase(it);
+    }
+    finished_.clear();
+  }
+  // Join under no lock, as the shutdown join in serve() does.
+  for (std::thread& t : done) t.join();
+}
+
 void Server::serve() {
   RESCHED_CHECK(listen_fd_ >= 0, "srv: serve() before start()");
   while (true) {
+    reap_finished();
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
@@ -148,7 +168,11 @@ void Server::serve() {
     }
     OBS_COUNT("srv.conn.accepted", 1);
     conn_fds_.insert(fd);
-    threads_.emplace_back([this, fd] { run_connection(fd); });
+    threads_.emplace_back([this, fd] {
+      run_connection(fd);
+      std::lock_guard<std::mutex> done(conn_mu_);
+      finished_.push_back(std::this_thread::get_id());
+    });
   }
   stop();
   // Join under no lock — connection threads take conn_mu_ on exit.

@@ -16,6 +16,9 @@
 // one disk flush (group commit) while the next request is already being
 // scheduled.
 //
+// Connection threads are joined by the accept loop once they finish, so
+// the daemon holds threads only for its live connections.
+//
 // Shutdown: the "shutdown" verb answers, then closes the listener and
 // nudges every parked connection; serve() joins all connection threads and
 // returns, after which the daemon finalizes the core (artifacts) and
@@ -66,6 +69,9 @@ class Server {
  private:
   void run_connection(int fd);
   void close_listener();
+  /// Joins every connection thread that has finished since the last call,
+  /// so a long-running daemon holds only its live connections' threads.
+  void reap_finished();
 
   ServerCore& core_;
   ServerOptions options_;
@@ -74,8 +80,12 @@ class Server {
   std::atomic<int> listen_fd_{-1};
   int port_ = -1;
   std::mutex core_mu_;   ///< the canonical request serialization point
-  std::mutex conn_mu_;   ///< guards threads_ / conn_fds_ / stopping_
+  std::mutex conn_mu_;   ///< guards threads_ / finished_ / conn_fds_ /
+                         ///< stopping_
   std::vector<std::thread> threads_;
+  /// Connection threads that returned from run_connection and await a
+  /// join by the accept loop.
+  std::vector<std::thread::id> finished_;
   std::set<int> conn_fds_;
   bool stopping_ = false;
 };

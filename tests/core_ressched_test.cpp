@@ -13,6 +13,15 @@
 #include "src/dag/daggen.hpp"
 #include "src/util/rng.hpp"
 
+namespace resched::core {
+
+// Prints an algorithm by its name in test IDs. gtest's default byte dump
+// would include the std::string's data pointer, so the parameterized test
+// names would change with the heap layout from one build or run to the next.
+void PrintTo(const NamedRessched& algo, std::ostream* os) { *os << algo.name; }
+
+}  // namespace resched::core
+
 namespace {
 
 using namespace resched;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -186,30 +187,35 @@ TEST(PdesDifferential, ChaosCampaignMatchesSerialOracle) {
 TEST(PdesDifferential, OneShardWideWindowMatchesPlainEngine) {
   const workload::Log log = dense_log();
   const online::ReplaySpec spec = replay_spec(42);
-  pdes::PdesConfig config = pdes_config(1, 1, 1e9);
+  // 1e9 s outlasts the archive; +inf is the replay CLI's default window.
+  for (const double window : {1e9, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    pdes::PdesConfig config = pdes_config(1, 1, window);
 
-  pdes::LogSource source(log, spec);
-  pdes::PdesReplayEngine engine(config);
-  const pdes::PdesResult got = engine.run(source);
+    pdes::LogSource source(log, spec);
+    pdes::PdesReplayEngine engine(config);
+    const pdes::PdesResult got = engine.run(source);
+    EXPECT_EQ(got.stats.windows, 1u);
 
-  std::ostringstream stream;
-  online::TraceWriter writer(stream, 0);
-  online::SchedulerService plain(config.service);
-  plain.set_trace(&writer);
-  for (online::JobSubmission& job : online::submissions_from_log(log, spec))
-    plain.submit(std::move(job));
-  plain.run_until(got.stats.horizon);
-  plain.set_trace(nullptr);
-  std::istringstream in(stream.str());
-  const std::vector<online::TraceRecord> want = online::read_trace(in);
+    std::ostringstream stream;
+    online::TraceWriter writer(stream, 0);
+    online::SchedulerService plain(config.service);
+    plain.set_trace(&writer);
+    for (online::JobSubmission& job : online::submissions_from_log(log, spec))
+      plain.submit(std::move(job));
+    plain.run_until(got.stats.horizon);
+    plain.set_trace(nullptr);
+    std::istringstream in(stream.str());
+    const std::vector<online::TraceRecord> want = online::read_trace(in);
 
-  ASSERT_EQ(got.trace.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(online::to_json_line(got.trace[i]),
-              online::to_json_line(want[i]))
-        << "trace diverges at record " << i;
-  EXPECT_EQ(got.stats.events, plain.events_processed());
-  EXPECT_EQ(got.aggregates.accepted, plain.metrics().accepted());
+    ASSERT_EQ(got.trace.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(online::to_json_line(got.trace[i]),
+                online::to_json_line(want[i]))
+          << "trace diverges at record " << i;
+    EXPECT_EQ(got.stats.events, plain.events_processed());
+    EXPECT_EQ(got.aggregates.accepted, plain.metrics().accepted());
+  }
 }
 
 // --- streaming SWF reader ---------------------------------------------------

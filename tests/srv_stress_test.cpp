@@ -1,6 +1,10 @@
 // Concurrent-client stress test (DESIGN.md §10). Runs under the TSan CI
 // leg as well as the default matrix.
 //
+// A second case checks that the daemon does not keep a thread (and its
+// stack) per past connection: many short sequential clients must leave
+// the process's virtual size bounded.
+//
 // Eight threads hammer one in-process daemon over a real unix socket with
 // interleaved submit / status / cancel traffic. The interleaving is
 // nondeterministic — but the server's core mutex defines a canonical
@@ -131,6 +135,18 @@ void client_thread(const std::string& sock, int thread_index,
   }
 }
 
+/// VmSize of this process in KiB, from /proc/self/status. An exited but
+/// unjoined thread keeps its stack mapped, so leaked connection threads
+/// show up here (they no longer appear under /proc/self/task).
+long vm_size_kib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  ADD_FAILURE() << "no VmSize in /proc/self/status";
+  return 0;
+}
+
 bool outcome_matches(const Observed& seen, const std::string& golden_state) {
   if (seen.cancelled_ok) return golden_state == "cancelled";
   if (seen.submit_state == "accepted")
@@ -200,4 +216,45 @@ TEST(SrvStress, ConcurrentClientsMatchGoldenWalReplay) {
     EXPECT_EQ(read_file(dir + "/trace.jsonl"), live_trace);
     EXPECT_EQ(read_file(dir + "/calendar.tsv"), live_calendar);
   }
+}
+
+TEST(SrvStress, SequentialConnectionsReapTheirThreads) {
+  const std::string dir = make_temp_dir();
+  const std::string sock = dir + "/d.sock";
+  ServerCoreConfig config;
+  config.service.capacity = 16;
+  config.state_dir = dir;
+  config.wal_sync = WalSync::kNone;
+
+  ServerCore core(config);
+  core.recover();
+  Server server(core, [&] {
+    ServerOptions options;
+    options.unix_path = sock;
+    return options;
+  }());
+  server.start();
+  std::thread acceptor([&server] { server.serve(); });
+
+  const auto one_client = [&sock] {
+    Client client = Client::connect_unix(sock);
+    EXPECT_TRUE(client.status().ok);
+  };
+  // Warm-up: allocator arenas and the first stacks are mapped once.
+  for (int i = 0; i < 8; ++i) one_client();
+  const long before = vm_size_kib();
+  constexpr int kClients = 128;
+  for (int i = 0; i < kClients; ++i) one_client();
+  const long grown = vm_size_kib() - before;
+
+  Client::connect_unix(sock).shutdown_server();
+  acceptor.join();
+  core.finalize();
+
+  // A leaked thread keeps its whole stack (8 MiB by default) mapped, so
+  // 128 of them would grow the process by about 1 GiB. Reaped threads
+  // leave a few stacks in flight, plus at most a few 64 MiB malloc
+  // arenas for threads that briefly overlapped.
+  EXPECT_LT(grown, 256L * 1024) << "VmSize grew by " << grown << " KiB over "
+                               << kClients << " sequential connections";
 }
