@@ -14,11 +14,9 @@
 //     RPCs/sec acceptance bar (a THROUGHPUT_BARS entry in
 //     scripts/check_bench_regression.py);
 //   * BM_SubmitPipelinedDeadline/N — the same pipelined burst but every
-//     submit carries a deadline, so each admission runs the deadline
-//     feasibility pass. The batched drain (ServerCore::apply_batch)
-//     precomputes the whole burst's admission floors through ONE calendar
-//     snapshot + one batched fit pass instead of a per-job snapshot
-//     rebuild after every committed admission — this leg pins that gain;
+//     submit carries a deadline, so each admission also computes its
+//     finish floor on the live calendar (one treap fit per task) and runs
+//     the deadline feasibility pass: plain pipelined deadline admission;
 //   * BM_StatusRpc/1        — read-only round-trip (no WAL record, no
 //     engine mutation): the protocol + socket overhead baseline.
 //
@@ -205,10 +203,7 @@ void BM_SubmitPipelined(benchmark::State& state) {
 
 // Deadline-burst pipelining: every submit in the burst carries a (loose,
 // always feasible) deadline, forcing the admission floor + backward-pass
-// machinery on each job. Without batching, every accepted admission dirties
-// the calendar and the next job's floor check pays a full snapshot rebuild;
-// the batched drain computes all 64 floors against one frozen snapshot and
-// arms them as engine hints (byte-identical outcomes, fewer rebuilds).
+// machinery on each job.
 void BM_SubmitPipelinedDeadline(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
   Daemon d;

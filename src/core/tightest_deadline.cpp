@@ -21,18 +21,6 @@ void finish_floor_queries(const dag::Dag& dag, int capacity, double now,
   }
 }
 
-double evaluate_finish_floor(std::span<const resv::FitQuery> queries,
-                             const resv::CalendarSnapshot& calendar,
-                             double now) {
-  double floor = now;
-  for (const resv::FitQuery& q : queries) {
-    auto fit = calendar.earliest_fit(q.procs, q.duration, q.not_before);
-    RESCHED_ASSERT(fit.has_value(), "1-processor fit must always exist");
-    floor = std::max(floor, *fit + q.duration);
-  }
-  return floor;
-}
-
 double finish_floor_from_fits(std::span<const resv::FitQuery> queries,
                               std::span<const std::optional<double>> fits,
                               double now) {
@@ -46,19 +34,22 @@ double finish_floor_from_fits(std::span<const resv::FitQuery> queries,
   return floor;
 }
 
+double evaluate_finish_floor(std::span<const resv::FitQuery> queries,
+                             const resv::AvailabilityProfile& calendar,
+                             double now,
+                             std::vector<std::optional<double>>& fits) {
+  calendar.fit_many_into(queries, fits);
+  return finish_floor_from_fits(queries, fits, now);
+}
+
 double earliest_finish_floor(const dag::Dag& dag,
                              const resv::AvailabilityProfile& competing,
                              double now) {
   OBS_SPAN("core.tightest.finish_floor");
   std::vector<resv::FitQuery> queries;
+  std::vector<std::optional<double>> fits;
   finish_floor_queries(dag, competing.capacity(), now, queries);
-  auto fits = competing.fit_many(queries);
-  double floor = now;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    RESCHED_ASSERT(fits[i].has_value(), "1-processor fit must always exist");
-    floor = std::max(floor, *fits[i] + queries[i].duration);
-  }
-  return floor;
+  return evaluate_finish_floor(queries, competing, now, fits);
 }
 
 TightestDeadlineResult tightest_deadline(

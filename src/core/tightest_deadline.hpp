@@ -13,7 +13,8 @@
 
 #include "src/core/resscheddl.hpp"
 #include "src/core/ressched.hpp"
-#include "src/resv/snapshot.hpp"
+#include "src/resv/fit_query.hpp"
+#include "src/resv/profile.hpp"
 
 namespace resched::core {
 
@@ -34,7 +35,13 @@ struct TightestDeadlineResult {
 /// least its fastest execution time, and earliest_fit is monotone in the
 /// duration — so each task finishes at or after the earliest 1-processor
 /// window of that fastest time, and no deadline below the latest such
-/// finish can be met. One batched earliest-fit query per task (fit_many).
+/// finish can be met. One batched earliest-fit query per task.
+///
+/// This is the one way the floor is computed — tightest_deadline's probe
+/// filter, the online engine's admission pre-filter and the shard router's
+/// spillover probes all go finish_floor_queries → fit_many_into →
+/// finish_floor_from_fits; the last two call the split steps below to
+/// reuse their buffers.
 double earliest_finish_floor(const dag::Dag& dag,
                              const resv::AvailabilityProfile& competing,
                              double now);
@@ -47,19 +54,18 @@ double earliest_finish_floor(const dag::Dag& dag,
 void finish_floor_queries(const dag::Dag& dag, int capacity, double now,
                           std::vector<resv::FitQuery>& queries);
 
-/// Floor value of prebuilt finish_floor_queries against one frozen
-/// calendar; byte-identical to earliest_finish_floor on the snapshot's
-/// source profile. The snapshot must be fresh (refresh() it first).
+/// Floor of prebuilt finish_floor_queries against one calendar: one
+/// fit_many_into pass into the caller-owned `fits` buffer (cleared first,
+/// capacity kept), then finish_floor_from_fits. Identical doubles to
+/// earliest_finish_floor on the same DAG, calendar and time.
 double evaluate_finish_floor(std::span<const resv::FitQuery> queries,
-                             const resv::CalendarSnapshot& calendar,
-                             double now);
+                             const resv::AvailabilityProfile& calendar,
+                             double now,
+                             std::vector<std::optional<double>>& fits);
 
 /// Floor arithmetic over already-resolved fits: fits[i] must be the
-/// earliest-fit answer for queries[i] (any evaluation route — snapshot
-/// fit_many_into, profile fit_many, or a blind batch-scheduler probe).
-/// Lets a batched caller resolve the concatenated queries of many jobs in
-/// one pass and evaluate each job's slice separately; identical doubles
-/// to evaluate_finish_floor on the same fits.
+/// earliest-fit answer for queries[i]. The floor is the latest
+/// fit + duration, and never below `now`.
 double finish_floor_from_fits(std::span<const resv::FitQuery> queries,
                               std::span<const std::optional<double>> fits,
                               double now);

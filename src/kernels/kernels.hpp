@@ -1,23 +1,22 @@
 // The scheduler's innermost loops over flat arrays (DESIGN.md §13).
 //
-// Three kernel families cover the measured hot spots of the RESSCHED /
+// Two kernel families cover the measured DAG hot spots of the RESSCHED /
 // RESSCHEDDL paths and everything stacked on them (online engine, shards,
 // reschedd, PDES replay):
 //
 //   * exec_times       — elementwise exec-time evaluation streamed off the
 //                        Dag's seq_times()/alphas() SoA arrays;
 //   * bl_sweep/tl_sweep — bottom-level / top-level sweeps in (reverse)
-//                        topological order off the CSR adjacency;
-//   * earliest/latest_fit_flat — the CalendarSnapshot fit scans over the
-//                        flattened step function.
+//                        topological order off the CSR adjacency.
 //
 // Each is one scalar loop: the pre-kernel hot-path code moved verbatim, so
-// golden pins, merged traces and calendar artifacts are unchanged. DESIGN.md
-// §13 records the measurements that rule out vector variants.
+// golden pins and merged traces are unchanged. DESIGN.md §13 records the
+// measurements that rule out vector variants. Calendar fit queries are not
+// kernels: they all descend the treap behind resv::AvailabilityProfile
+// (DESIGN.md §11).
 #pragma once
 
 #include <cstddef>
-#include <optional>
 
 namespace resched::kernels {
 
@@ -53,22 +52,5 @@ void bl_sweep(const DagView& dag, const double* exec, double* bl);
 /// tl[v] = max over predecessors q of (tl[q] + exec[q]) (0 with no
 /// predecessors). `tl` must not alias `exec`.
 void tl_sweep(const DagView& dag, const double* exec, double* tl);
-
-/// Earliest start >= not_before of a procs-wide, duration-long window in
-/// the flattened step function (keys[0] is the -infinity sentinel; values
-/// are raw availability). nullopt only when no segment run ever satisfies
-/// the request (the caller asserts against that for procs <= capacity
-/// profiles).
-std::optional<double> earliest_fit_flat(const double* keys, const int* values,
-                                        std::size_t n, int procs,
-                                        double duration, double not_before);
-
-/// Latest start with start >= not_before and start + duration <= deadline,
-/// including the one-ulp nextafter nudge that keeps the window inside its
-/// feasible run.
-std::optional<double> latest_fit_flat(const double* keys, const int* values,
-                                      std::size_t n, int procs,
-                                      double duration, double deadline,
-                                      double not_before);
 
 }  // namespace resched::kernels

@@ -124,9 +124,6 @@ bool SchedulerService::cancel_job(double t, int job_id) {
     }
     task.placed = false;
   }
-  // Released capacity can pull admission floors down — precomputed floor
-  // hints from before this point are no longer lower bounds.
-  release_epoch_ = profile_->epoch();
   // The cancel takes a real sequence number (allocated whether or not a
   // trace is attached, so state evolution is trace-independent) and lands
   // in the (time, seq) total order like any other record.
@@ -328,9 +325,6 @@ void SchedulerService::schedule_job(const JobSubmission& job, double t,
   RESCHED_CHECK(!ft_active_ || retired_jobs_.count(job.job_id) == 0,
                 "job id reuse is not allowed in fault-tolerant mode (stale "
                 "events could cross generations)");
-  // One-shot: the hint was armed for exactly this admission.
-  const std::optional<FloorHint> hint =
-      std::exchange(floor_hint_, std::nullopt);
   OBS_PHASE("online.schedule_job");
   if (config_.compact_calendar) {
     OBS_COUNT("online.compactions", 1);
@@ -346,28 +340,14 @@ void SchedulerService::schedule_job(const JobSubmission& job, double t,
     return;
   }
 
-  // Batched admission pre-filter: one earliest-fit query per task against
-  // the frozen calendar lower-bounds every task's finish. A requested
+  // Admission pre-filter: one batched earliest-fit query per task against
+  // the live calendar lower-bounds every task's finish. A requested
   // deadline below the floor is provably unmeetable, so the full backward
   // pass is skipped and the submission goes straight to rejection or
-  // counter-offer — exactly where the failed pass would have sent it. The
-  // snapshot refresh is an epoch compare when nothing was admitted or
-  // released since the previous probe, so back-to-back rejected deadline
-  // jobs never re-freeze the calendar. A batched caller (reschedd flush
-  // drain) may have precomputed this job's floor against one shared
-  // snapshot; the hint is honored when it is provably still a lower bound
-  // (no release/rollback since, no fault-tolerance handlers rewriting the
-  // calendar behind the engine's back).
-  double floor;
-  if (hint && !ft_active_ && hint->epoch >= release_epoch_) {
-    OBS_COUNT("online.floor_hints_used", 1);
-    floor = hint->floor;
-  } else {
-    core::finish_floor_queries(job.dag, profile_->capacity(), t,
-                               floor_queries_);
-    floor_snapshot_.refresh(*profile_);
-    floor = core::evaluate_finish_floor(floor_queries_, floor_snapshot_, t);
-  }
+  // counter-offer — exactly where the failed pass would have sent it.
+  core::finish_floor_queries(job.dag, profile_->capacity(), t, floor_queries_);
+  const double floor =
+      core::evaluate_finish_floor(floor_queries_, *profile_, t, floor_fits_);
   core::DeadlineResult dl;
   if (*job.deadline >= floor)
     dl = core::schedule_deadline(job.dag, *profile_, t, q_hist, *job.deadline,
@@ -412,9 +392,6 @@ void SchedulerService::commit_schedule(const JobSubmission& job, double t,
       std::isfinite(config_.counter_offer_limit) &&
       counter_offer - t > config_.counter_offer_limit * (*job.deadline - t)) {
     profile_->rollback(token);
-    // The rollback restored availability — older floor hints may now
-    // over-estimate and must not be trusted.
-    release_epoch_ = profile_->epoch();
     if (config_.audit_rollback)
       RESCHED_ASSERT(profile_->canonical_steps() == audit_before,
                      "rollback left the calendar different from the "

@@ -11,7 +11,10 @@
 // reservations via the incremental AvailabilityProfile mutation API — no
 // calendar rebuild, ever.
 //
-// Admission control (deadline jobs): when RESSCHEDdl cannot meet the
+// Admission control (deadline jobs): a pre-filter first computes the §5.3
+// finish floor on the live calendar (core::evaluate_finish_floor, one
+// treap fit per task); a deadline below it skips the RESSCHEDdl pass,
+// which could not succeed. When RESSCHEDdl cannot meet the
 // requested deadline, the engine computes the earliest feasible deadline
 // (the §5.3 tightest-deadline binary search on the live calendar) and, per
 // policy, either rejects the job or counter-offers that deadline. A
@@ -51,7 +54,6 @@
 #include "src/online/online_metrics.hpp"
 #include "src/online/trace.hpp"
 #include "src/resv/profile.hpp"
-#include "src/resv/snapshot.hpp"
 
 namespace resched::ft {
 struct ServiceAccess;
@@ -185,28 +187,6 @@ class SchedulerService {
     return queue_.empty() ? std::numeric_limits<double>::infinity()
                           : queue_.peek().time;
   }
-
-  /// Arms a precomputed admission-floor hint for the next processed job
-  /// submission (reschedd batched admission, DESIGN.md §10). `floor` must
-  /// be core::evaluate_finish_floor for that job's DAG at its effective
-  /// submission time, computed against a calendar snapshot taken at
-  /// profile epoch `epoch`. The engine consumes the hint instead of
-  /// re-freezing the calendar when the hinted floor is provably still a
-  /// lower bound on the live floor — no availability-increasing mutation
-  /// (release / rollback / repair) since `epoch`; reservations *added*
-  /// since only push the true floor up, and the pre-filter only ever
-  /// skips full passes that would have come back infeasible, so a stale
-  /// valid hint cannot change any outcome. Otherwise the hint is silently
-  /// dropped and the engine recomputes. One-shot: cleared by the next
-  /// admission whether or not it was usable.
-  void hint_admission_floor(double floor, std::uint64_t epoch) {
-    floor_hint_ = FloorHint{floor, epoch};
-  }
-
-  /// Disarms a pending hint. Batched callers invoke this after each
-  /// request so a hint armed for an admission that failed before the
-  /// engine consumed it cannot leak onto the next job.
-  void clear_admission_floor_hint() { floor_hint_.reset(); }
 
   double now() const { return now_; }
   const resv::AvailabilityProfile& profile() const { return *profile_; }
@@ -345,23 +325,10 @@ class SchedulerService {
   std::uint64_t stale_events_ = 0;
   std::uint64_t events_processed_ = 0;
   bool ft_active_ = false;
-  /// Admission pre-filter scratch: the calendar frozen for floor probes
-  /// (rebuilt only when the calendar mutated since the previous deadline
-  /// admission) and the per-task query buffer, both reused across jobs.
-  resv::CalendarSnapshot floor_snapshot_;
+  /// Admission pre-filter scratch (core::evaluate_finish_floor): the
+  /// per-task query and fit buffers, reused across jobs.
   std::vector<resv::FitQuery> floor_queries_;
-  /// Batched-admission hint (hint_admission_floor): floor precomputed
-  /// against the snapshot frozen at profile epoch `epoch`.
-  struct FloorHint {
-    double floor;
-    std::uint64_t epoch;
-  };
-  std::optional<FloorHint> floor_hint_;
-  /// Profile epoch right after the engine's most recent
-  /// availability-increasing mutation (release / rollback). Floors
-  /// precomputed against snapshots at least this new are still valid
-  /// lower bounds; older ones may over-reject and are discarded.
-  std::uint64_t release_epoch_ = 0;
+  std::vector<std::optional<double>> floor_fits_;
 };
 
 }  // namespace resched::online

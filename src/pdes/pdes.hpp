@@ -57,7 +57,6 @@
 #include "src/online/service.hpp"
 #include "src/online/trace.hpp"
 #include "src/pdes/source.hpp"
-#include "src/resv/snapshot.hpp"
 #include "src/shard/sharded_service.hpp"
 
 namespace resched::pdes {

@@ -2,11 +2,11 @@
 // and the linear oracle.
 //
 // A FitQuery names one earliest-fit or latest-fit probe; fit_many() answers
-// a whole batch against a single calendar snapshot. Batching is how the
-// RESSCHED allocation sweep (one probe per candidate processor count) and
-// the online admission pre-filter (one probe per task) talk to the
-// calendar: the call sites stay declarative and the profile is free to
-// amortize work across the batch.
+// a whole batch against one calendar state. Batching is how the RESSCHED
+// allocation sweep (one probe per candidate processor count) and the
+// admission finish floor (one probe per task) talk to the calendar: the
+// call sites stay declarative and the profile is free to amortize work
+// across the batch.
 #pragma once
 
 namespace resched::resv {

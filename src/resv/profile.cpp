@@ -1,7 +1,6 @@
 #include "src/resv/profile.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -13,18 +12,10 @@ namespace resched::resv {
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
-
-// Epochs are handed out process-wide so every mutation event — on any
-// profile — gets a unique stamp, starting at 1 (0 is CalendarSnapshot's
-// "never refreshed").
-std::uint64_t next_epoch() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 }  // namespace
 
 AvailabilityProfile::AvailabilityProfile(int capacity)
-    : index_(capacity), capacity_(capacity), epoch_(next_epoch()) {
+    : index_(capacity), capacity_(capacity) {
   RESCHED_CHECK(capacity >= 1, "platform needs at least one processor");
 }
 
@@ -40,7 +31,6 @@ void AvailabilityProfile::add(const Reservation& r) {
   if (r.procs == 0) return;
   index_.range_add(r.start, r.end, -r.procs);
   ++reservation_count_;
-  epoch_ = next_epoch();
 }
 
 void AvailabilityProfile::release(const Reservation& r) {
@@ -53,7 +43,6 @@ void AvailabilityProfile::release(const Reservation& r) {
   index_.coalesce_at(r.end);
   index_.coalesce_at(r.start);
   --reservation_count_;
-  epoch_ = next_epoch();
 }
 
 AvailabilityProfile::CommitToken AvailabilityProfile::commit(
@@ -88,21 +77,6 @@ void AvailabilityProfile::rollback(CommitToken& token) {
 
 void AvailabilityProfile::compact(double horizon) {
   index_.compact(horizon);
-  epoch_ = next_epoch();
-}
-
-void AvailabilityProfile::flatten_into(std::vector<double>& keys,
-                                       std::vector<int>& values) const {
-  keys.clear();
-  values.clear();
-  keys.reserve(index_.size());
-  values.reserve(index_.size());
-  index_.for_each_segment(kNegInf, kPosInf,
-                          [&](double key, double next, int value) {
-                            (void)next;
-                            keys.push_back(key);
-                            values.push_back(value);
-                          });
 }
 
 int AvailabilityProfile::available_at(double t) const {

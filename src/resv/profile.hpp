@@ -19,8 +19,9 @@
 // treap is the only path for these queries. The legacy linear scan
 // survives as resv::LinearProfile in the test-support library
 // (tests/support/), the differential oracle: both return byte-identical fit
-// results. Callers that probe one frozen calendar many times take an
-// explicit CalendarSnapshot instead (DESIGN.md §11).
+// results. Every fit query in the tree — single probes, the RESSCHED
+// allocation sweep and the admission finish floor — goes through this
+// class (DESIGN.md §11).
 // Over-subscribed instants (more reserved than capacity, possible when
 // synthetic transforms inject reservations) clamp to zero availability.
 //
@@ -28,7 +29,6 @@
 // profile concurrently as long as no thread mutates it.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -110,9 +110,9 @@ class AvailabilityProfile {
                                    double not_before) const;
 
   /// Batch form: answers queries[i] with the matching earliest_fit /
-  /// latest_fit against this calendar snapshot. Used by the RESSCHED
-  /// allocation sweep (one query per candidate processor count) and the
-  /// online admission pre-filter (one query per task).
+  /// latest_fit against this calendar. Used by the RESSCHED allocation
+  /// sweep (one query per candidate processor count) and the admission
+  /// finish floor (one query per task, core::evaluate_finish_floor).
   std::vector<std::optional<double>> fit_many(
       std::span<const FitQuery> queries) const;
 
@@ -120,18 +120,6 @@ class AvailabilityProfile {
   /// sweeps reuse capacity across batches instead of allocating per batch.
   void fit_many_into(std::span<const FitQuery> queries,
                      std::vector<std::optional<double>>& out) const;
-
-  /// Monotone stamp, globally unique per mutation event: changes on every
-  /// add/release/compact (and thus commit/rollback); copies inherit it.
-  /// Equal epochs imply identical step functions, which is what lets
-  /// CalendarSnapshot freshness checks skip any content comparison.
-  std::uint64_t epoch() const { return epoch_; }
-
-  /// Raw step-function segments — including breakpoints that repeat their
-  /// predecessor's value — flattened into parallel arrays (keys[0] is the
-  /// -infinity sentinel). Buffers are cleared first and keep their
-  /// capacity, so repeated flattening allocates nothing in steady state.
-  void flatten_into(std::vector<double>& keys, std::vector<int>& values) const;
 
   /// Time-average of available processors over [from, to), from < to.
   double average_available(double from, double to) const;
@@ -165,7 +153,6 @@ class AvailabilityProfile {
   StepIndex index_;  // treap over the availability steps; -inf sentinel
   int capacity_;
   int reservation_count_ = 0;
-  std::uint64_t epoch_;
 };
 
 /// Historical average number of available processors q (paper §4.2,

@@ -11,7 +11,7 @@
 //     of now (resv::AvailabilityProfile::reserved_area_after); lowest
 //     score wins, ties by shard id;
 //   * cross-shard spillover — a deadline job is first probed read-only
-//     against the chosen shard's calendar (core::earliest_finish_floor);
+//     against the chosen shard's calendar (core::evaluate_finish_floor);
 //     if the floor proves the deadline unreachable there, or the shard's
 //     engine rejects the job outright (its internally audited rollback
 //     leaves the calendar untouched), the router retries the next-ranked
@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,7 +68,7 @@ struct RoutingPolicy {
   bool spillover = true;
   /// Shards tried beyond the first choice (0 = every remaining shard).
   int max_spillover_probes = 0;
-  /// Probe deadline jobs with core::earliest_finish_floor before touching
+  /// Probe deadline jobs with core::evaluate_finish_floor before touching
   /// the engine — a read-only rejection that skips the full admission
   /// attempt when the deadline is provably unreachable on that shard.
   /// Disable to force spillover through real engine rejections (tests).
@@ -208,8 +209,9 @@ class ShardedService {
   double now_;
   /// Tier-1 floor queries for the job being routed — built once per job
   /// (all shards share one capacity) and evaluated against each candidate
-  /// shard's calendar snapshot; buffer reused across jobs.
+  /// shard's calendar — and their fit answers; buffers reused across jobs.
   std::vector<resv::FitQuery> floor_queries_;
+  std::vector<std::optional<double>> floor_fits_;
 };
 
 }  // namespace resched::shard

@@ -216,9 +216,8 @@ void Server::run_connection(int fd) {
     buffer.append(chunk, static_cast<std::size_t>(n));
 
     // Drain every complete frame before touching the disk or the socket:
-    // a pipelining client's whole burst is decoded up front, applied under
-    // ONE core-lock acquisition (ServerCore::apply_batch — which also
-    // batch-precomputes the burst's admission floors), covered by ONE
+    // a pipelining client's whole burst is decoded up front, applied one
+    // request at a time under ONE core-lock acquisition, covered by ONE
     // fsync (group commit), and answered with ONE send. Responses still
     // release only after their LSNs are durable.
     bool close_conn = false;
@@ -269,8 +268,11 @@ void Server::run_connection(int fd) {
         OBS_HIST("srv.core.batch.frames",
                  static_cast<std::int64_t>(batch.size()));
 #endif
-        const std::uint64_t lsn = core_.apply_batch(batch, batch_responses);
-        if (lsn > batch_lsn) batch_lsn = lsn;
+        for (const proto::Request& request : batch) {
+          std::uint64_t lsn = 0;
+          batch_responses.push_back(core_.apply(request, &lsn));
+          batch_lsn = std::max(batch_lsn, lsn);
+        }
       }
 
       // Merge phase: responses go out in frame order.

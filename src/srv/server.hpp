@@ -14,7 +14,8 @@
 // happens *outside* the lock: a writer leaves the critical section holding
 // its LSN and blocks in WalWriter::sync_to, so concurrent commits share
 // one disk flush (group commit) while the next request is already being
-// scheduled.
+// scheduled. A pipelined burst drained from one connection is applied
+// request by request under a single acquisition and covered by one fsync.
 //
 // Connection threads are joined by the accept loop once they finish, so
 // the daemon holds threads only for its live connections.

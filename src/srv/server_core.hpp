@@ -52,8 +52,6 @@
 
 #include "src/online/service.hpp"
 #include "src/online/trace.hpp"
-#include "src/resv/fit_query.hpp"
-#include "src/resv/snapshot.hpp"
 #include "src/shard/sharded_service.hpp"
 #include "src/srv/proto.hpp"
 #include "src/srv/wal.hpp"
@@ -96,21 +94,6 @@ class ServerCore {
   proto::Response apply(const proto::Request& request,
                         std::uint64_t* wal_lsn = nullptr);
 
-  /// Applies a pipelined flush worth of requests in order, appending one
-  /// response per request to `responses`, and returns the highest WAL LSN
-  /// appended (0 = nothing logged). Byte-identical responses, WAL records,
-  /// and engine state to calling apply() on each request — WAL replay
-  /// re-applies one record at a time and must land on the same bytes. The
-  /// single-engine path additionally pre-computes the admission finish
-  /// floors of the burst's deadline submits through ONE calendar snapshot
-  /// + one batched fit pass and arms each as an engine floor hint
-  /// (online::SchedulerService::hint_admission_floor), collapsing the
-  /// per-admission O(segments) snapshot rebuilds a burst of accepted
-  /// deadline jobs otherwise pays. NOT thread-safe (same contract as
-  /// apply()).
-  std::uint64_t apply_batch(const std::vector<proto::Request>& requests,
-                            std::vector<proto::Response>& responses);
-
   /// Group-commit barrier: blocks until LSN `lsn` is durable. Safe to call
   /// concurrently with apply() on other threads (no core state touched).
   void sync(std::uint64_t lsn);
@@ -148,15 +131,6 @@ class ServerCore {
   /// rejection, and updates `record`.
   proto::Response admit(const proto::Request& effective, JobRecord& record);
 
-  /// Precomputed admission floors for apply_batch: floors[i] is the floor
-  /// hint for requests[i] (nullopt = no hint), all evaluated against one
-  /// calendar snapshot frozen at profile epoch `epoch`.
-  struct BatchHints {
-    std::vector<std::optional<double>> floors;
-    std::uint64_t epoch = 0;
-  };
-  BatchHints prime_floor_hints(const std::vector<proto::Request>& requests);
-
   /// Engine dispatch (single vs sharded).
   void engine_submit(online::JobSubmission job);
   bool engine_cancel(double t, int job_id);
@@ -192,14 +166,6 @@ class ServerCore {
     int rejected = 0;
     int cancelled = 0;
   } tallies_;
-
-  /// apply_batch scratch (capacity reused across flushes): concatenated
-  /// per-task floor queries of the burst's deadline submits, one slice per
-  /// job, resolved by a single fit_many_into pass.
-  resv::CalendarSnapshot batch_snapshot_;
-  std::vector<resv::FitQuery> batch_queries_;
-  std::vector<resv::FitQuery> job_floor_queries_;
-  std::vector<std::optional<double>> batch_fits_;
 
   WalWriter wal_;
   std::uint64_t next_rid_ = 1;

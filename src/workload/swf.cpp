@@ -150,8 +150,10 @@ Log read_swf(std::istream& in, const std::string& name,
              : header_cpus > 0       ? header_cpus
                                      : std::max(1, max_alloc);
   log.duration = max_end;
-  std::sort(log.jobs.begin(), log.jobs.end(),
-            [](const Job& a, const Job& b) { return a.submit < b.submit; });
+  // Stable: equal submit times keep file order, as SwfStreamReader does.
+  std::stable_sort(
+      log.jobs.begin(), log.jobs.end(),
+      [](const Job& a, const Job& b) { return a.submit < b.submit; });
   return log;
 }
 

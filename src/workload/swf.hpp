@@ -52,7 +52,8 @@ struct SwfReadOptions {
   SwfDiagnostics* diagnostics = nullptr;
 };
 
-/// Parses an SWF stream. Malformed lines are skipped with a diagnostic
+/// Parses an SWF stream into jobs sorted by submit time, equal submit
+/// times in file order. Malformed lines are skipped with a diagnostic
 /// (throws resched::Error instead when opts.strict).
 Log read_swf(std::istream& in, const std::string& name,
              const SwfReadOptions& opts = {});

@@ -5,26 +5,20 @@
 // Coverage: the exec-time and bottom/top-level sweeps against their
 // definitions (dag::exec_time and the per-task recurrences over the
 // adjacency lists) on random daggen instances plus chains, stars and dense
-// bipartite layers, including the fused in-place bottom-level overload;
-// and the flat-profile fit scans, through CalendarSnapshot, against the
-// LinearProfile oracle — sentinel-only profiles, exact-key queries and
-// deadline-slack underflow included.
+// bipartite layers, including the fused in-place bottom-level overload.
+// Calendar fit queries are not kernels; their oracle differential lives in
+// tests/resv_index_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/dag/dag.hpp"
 #include "src/dag/daggen.hpp"
-#include "src/resv/profile.hpp"
-#include "src/resv/snapshot.hpp"
 #include "src/util/rng.hpp"
-#include "tests/support/linear_profile.hpp"
 
 namespace {
 
@@ -34,18 +28,6 @@ std::uint64_t bits(double x) {
   std::uint64_t u;
   std::memcpy(&u, &x, sizeof(u));
   return u;
-}
-
-/// Bitwise equality of optional fit results (nullopt != any value).
-::testing::AssertionResult same_fit(const std::optional<double>& a,
-                                    const std::optional<double>& b) {
-  if (a.has_value() != b.has_value())
-    return ::testing::AssertionFailure()
-           << (a ? "value" : "nullopt") << " vs " << (b ? "value" : "nullopt");
-  if (a && bits(*a) != bits(*b))
-    return ::testing::AssertionFailure()
-           << std::hexfloat << *a << " vs " << *b;
-  return ::testing::AssertionSuccess();
 }
 
 void expect_same_doubles(const std::vector<double>& want,
@@ -146,59 +128,6 @@ TEST(KernelSweeps, MatchScalarBytewiseOnDagFamilies) {
     expect_same_doubles(want_bl, got, "fused bottom_levels_into");
     dag::top_levels_into(d, exec, got);
     expect_same_doubles(want_tl, got, "top_levels_into");
-  }
-}
-
-TEST(KernelFitScans, SnapshotMatchesLinearOracleAtEveryIsa) {
-  util::Rng rng(0xCA);
-  for (int trial = 0; trial < 8; ++trial) {
-    const int p = static_cast<int>(rng.uniform_int(4, 48));
-    resv::AvailabilityProfile profile(p);
-    resv::LinearProfile oracle(p);
-    // Trial 0 is the empty profile: the snapshot holds only the -infinity
-    // sentinel segment.
-    const int n_res = trial == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 60));
-    for (int i = 0; i < n_res; ++i) {
-      double start = rng.uniform(-12.0, 96.0) * 3600.0;
-      double dur = rng.bernoulli(0.2) ? rng.uniform(1e-9, 1e-3)
-                                      : rng.uniform(0.5, 10.0) * 3600.0;
-      resv::Reservation r{start, start + dur,
-                          static_cast<int>(rng.uniform_int(1, p))};
-      profile.add(r);
-      oracle.add(r);
-    }
-    resv::CalendarSnapshot snap;
-    snap.refresh(profile);
-    const std::vector<double> keys = oracle.breakpoints();
-    auto any_key = [&] {
-      return keys[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(keys.size()) - 1))];
-    };
-    for (int q = 0; q < 60; ++q) {
-      int procs = static_cast<int>(rng.uniform_int(1, p));
-      double duration = rng.bernoulli(0.2) ? rng.uniform(1e-12, 1e-6)
-                                           : rng.uniform(1.0, 20.0 * 3600.0);
-      // Exact-key anchors hit the run-boundary cases of both scans.
-      double not_before = !keys.empty() && rng.bernoulli(0.3)
-                              ? any_key()
-                              : rng.uniform(-20.0, 90.0) * 3600.0;
-      // Sometimes underflow the slack (deadline - duration < not_before),
-      // sometimes end exactly on a breakpoint.
-      double deadline =
-          rng.bernoulli(0.2)
-              ? not_before + rng.uniform(0.0, duration)
-              : (!keys.empty() && rng.bernoulli(0.2)
-                     ? any_key()
-                     : not_before + duration +
-                           rng.uniform(0.0, 40.0) * 3600.0);
-      EXPECT_TRUE(same_fit(oracle.earliest_fit(procs, duration, not_before),
-                           snap.earliest_fit(procs, duration, not_before)))
-          << "earliest_fit vs oracle, trial " << trial << " query " << q;
-      EXPECT_TRUE(
-          same_fit(oracle.latest_fit(procs, duration, deadline, not_before),
-                   snap.latest_fit(procs, duration, deadline, not_before)))
-          << "latest_fit vs oracle, trial " << trial << " query " << q;
-    }
   }
 }
 

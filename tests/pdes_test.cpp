@@ -3,17 +3,14 @@
 // traces, aggregates, and deterministic stats against the single-threaded
 // windowed oracle at every worker count, window size, and seed, with and
 // without a chaos campaign — plus the wide-window anchor tying the
-// 1-shard protocol to a plain SchedulerService, the streaming SWF reader
-// against the batch reader, and the reschedd batched-admission
-// differential (apply_batch vs one-by-one apply). The PDES differential
-// legs run under TSan in CI: the window barrier is the only concurrency
-// in the driver, and a race there shows up as a trace divergence here.
+// 1-shard protocol to a plain SchedulerService, and the streaming SWF
+// reader against the batch reader. The PDES differential legs run under
+// TSan in CI: the window barrier is the only concurrency in the driver,
+// and a race there shows up as a trace divergence here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -27,8 +24,6 @@
 #include "src/online/trace.hpp"
 #include "src/pdes/pdes.hpp"
 #include "src/pdes/source.hpp"
-#include "src/srv/proto.hpp"
-#include "src/srv/server_core.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/swf.hpp"
@@ -254,6 +249,34 @@ TEST(SwfStream, MatchesBatchReaderOnGeneratedArchive) {
   }
 }
 
+/// Real archives hold many jobs with one submit time; both readers must
+/// keep such ties in file order, or ft_tool (batch reader) and
+/// trace_tool replay (stream) would replay different streams.
+TEST(SwfStream, EqualSubmitTimesKeepFileOrderInBothReaders) {
+  std::string archive;
+  for (int i = 0; i < 64; ++i)
+    archive += swf_line(i + 1, i < 32 ? 0.0 : 600.0,
+                        60.0 + static_cast<double>(i), 1 + i % 5);
+
+  std::istringstream batch_in(archive);
+  const workload::Log batch = workload::read_swf(batch_in, "test");
+  std::istringstream stream_in(archive);
+  workload::SwfStreamReader reader(stream_in, "test");
+  std::vector<workload::Job> streamed;
+  while (std::optional<workload::Job> job = reader.next())
+    streamed.push_back(*job);
+
+  ASSERT_EQ(batch.jobs.size(), 64u);
+  ASSERT_EQ(streamed.size(), 64u);
+  for (std::size_t i = 0; i < 64; ++i) {
+    // Runtimes are unique per line, so they name the file position.
+    EXPECT_EQ(batch.jobs[i].runtime, 60.0 + static_cast<double>(i)) << i;
+    EXPECT_EQ(streamed[i].runtime, batch.jobs[i].runtime) << i;
+    EXPECT_EQ(streamed[i].submit, batch.jobs[i].submit) << i;
+    EXPECT_EQ(streamed[i].procs, batch.jobs[i].procs) << i;
+  }
+}
+
 TEST(SwfStream, ReordersWithinWindowAndSkipsDisplacedBeyondIt) {
   // Disorder distance of 2 (the 50 sits two lines late): a window of 8
   // absorbs it and emits fully sorted.
@@ -335,135 +358,6 @@ TEST(SwfStream, MalformedLinesSkippedWithDiagnosticsSharedWithBatchReader) {
   while (reader.next().has_value()) ++count;
   EXPECT_EQ(count, 2);
   EXPECT_EQ(diags.malformed_lines, 1);
-}
-
-// --- reschedd batched admission ---------------------------------------------
-
-std::string make_temp_dir() {
-  char tmpl[] = "/tmp/resched_pdes_batch_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// A pipelined client's flush: bursts of same-timestamp deadline submits
-/// (the case the batched floor precomputation accelerates) mixed with
-/// undated submits, status reads, cancels, and counter-offer accepts.
-std::vector<srv::proto::Request> batch_script(int jobs) {
-  std::vector<srv::proto::Request> script;
-  for (int j = 1; j <= jobs; ++j) {
-    const double t = 40.0 * static_cast<double>((j - 1) / 4);  // 4-job bursts
-    srv::proto::Request submit;
-    submit.verb = srv::proto::Verb::kSubmit;
-    submit.job_id = j;
-    submit.time = t;
-    std::vector<dag::TaskCost> costs;
-    for (int v = 0; v <= j % 3; ++v)
-      costs.push_back({600.0 + 100.0 * static_cast<double>(j % 7), 0.0});
-    submit.dag = dag::Dag(std::move(costs), {});
-    if (j % 4 == 0)
-      submit.deadline = t + 1.0;  // infeasibly tight -> counter-offered
-    else if (j % 2 == 0)
-      submit.deadline = t + 1e6;  // generous -> accepted
-    script.push_back(submit);
-
-    if (j % 4 == 0) {
-      srv::proto::Request accept;
-      accept.verb = srv::proto::Verb::kCounterOfferAccept;
-      accept.job_id = j;
-      accept.time = t + 5.0;
-      script.push_back(accept);
-    }
-    if (j % 5 == 0) {
-      srv::proto::Request status;
-      status.verb = srv::proto::Verb::kStatus;
-      status.job_id = j - 1;
-      status.time = t + 6.0;
-      script.push_back(status);
-    }
-    if (j % 6 == 0) {
-      srv::proto::Request cancel;
-      cancel.verb = srv::proto::Verb::kCancel;
-      cancel.job_id = j - 2;
-      cancel.time = t + 7.0;
-      script.push_back(cancel);
-    }
-  }
-  return script;
-}
-
-/// Satellite contract of the batched admission path: apply_batch must be
-/// byte-identical to one-by-one apply — same encoded responses in the same
-/// order, same WAL bytes, same shutdown artifacts — no matter how the
-/// stream is chopped into flushes. The floor hints may only skip provably
-/// infeasible full admission passes, never change an outcome.
-TEST(SrvBatch, ApplyBatchMatchesSerialApplyByteForByte) {
-  const std::vector<srv::proto::Request> script = batch_script(24);
-
-  const std::string serial_dir = make_temp_dir();
-  std::vector<std::string> want_responses;
-  {
-    srv::ServerCoreConfig config;
-    config.service.capacity = 16;
-    config.state_dir = serial_dir;
-    srv::ServerCore core(config);
-    core.recover();
-    for (const srv::proto::Request& request : script) {
-      std::uint64_t lsn = 0;
-      want_responses.push_back(srv::proto::encode(core.apply(request, &lsn)));
-      core.sync(lsn);
-    }
-    core.finalize();
-  }
-
-  // Flush sizes sweep the interesting shapes: singletons (no hints), whole
-  // 4-submit bursts, and a jumbo flush spanning many bursts.
-  for (const std::size_t flush : {std::size_t{1}, std::size_t{4},
-                                  std::size_t{7}, script.size()}) {
-    const std::string dir = make_temp_dir();
-    std::vector<std::string> got_responses;
-    {
-      srv::ServerCoreConfig config;
-      config.service.capacity = 16;
-      config.state_dir = dir;
-      srv::ServerCore core(config);
-      core.recover();
-      std::vector<srv::proto::Request> burst;
-      std::vector<srv::proto::Response> responses;
-      for (std::size_t i = 0; i < script.size(); i += flush) {
-        burst.assign(script.begin() + static_cast<std::ptrdiff_t>(i),
-                     script.begin() +
-                         static_cast<std::ptrdiff_t>(
-                             std::min(i + flush, script.size())));
-        responses.clear();
-        const std::uint64_t lsn = core.apply_batch(burst, responses);
-        core.sync(lsn);
-        for (const srv::proto::Response& r : responses)
-          got_responses.push_back(srv::proto::encode(r));
-      }
-      core.finalize();
-    }
-    ASSERT_EQ(got_responses.size(), want_responses.size()) << flush;
-    for (std::size_t i = 0; i < want_responses.size(); ++i)
-      ASSERT_EQ(got_responses[i], want_responses[i])
-          << "flush " << flush << ": response " << i << " diverges";
-    EXPECT_EQ(read_file(dir + "/wal"), read_file(serial_dir + "/wal"))
-        << "flush " << flush;
-    EXPECT_EQ(read_file(dir + "/trace.jsonl"),
-              read_file(serial_dir + "/trace.jsonl"))
-        << "flush " << flush;
-    EXPECT_EQ(read_file(dir + "/calendar.tsv"),
-              read_file(serial_dir + "/calendar.tsv"))
-        << "flush " << flush;
-  }
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 //
 //   * churn that hammers the treap-node free list (release → re-add over
 //     and over) must stay byte-identical to the LinearProfile oracle, both
-//     through the profile's own (treap) queries and through a
-//     CalendarSnapshot refreshed after every mutation;
+//     through the profile's single fit queries and through a batched
+//     fit_many_into pass into one reused buffer after every mutation;
 //   * steady-state churn must not touch the heap: the process-wide
 //     resv::arena_heap_allocs() counter is a deterministic regression
 //     signal where wall-clock noise would hide an accidental allocation;
@@ -20,7 +20,6 @@
 
 #include "src/resv/arena.hpp"
 #include "src/resv/profile.hpp"
-#include "src/resv/snapshot.hpp"
 #include "src/util/rng.hpp"
 #include "tests/support/linear_profile.hpp"
 
@@ -39,11 +38,11 @@ Reservation random_reservation(util::Rng& rng, int capacity) {
 }
 
 /// Asserts the full observable surface matches the oracle bitwise: the
-/// profile's own fit queries and a batch through `snap`, refreshed from
-/// the profile first. The queries are seeded, so a divergence replays from
-/// the test's seed.
+/// profile's single fit queries and the same queries as one fit_many_into
+/// batch into the caller's reused `fits` buffer. The queries are seeded,
+/// so a divergence replays from the test's seed.
 void expect_matches_oracle(const AvailabilityProfile& indexed,
-                           resv::CalendarSnapshot& snap,
+                           std::vector<std::optional<double>>& fits,
                            const LinearProfile& oracle, util::Rng& rng,
                            int step) {
   ASSERT_EQ(indexed.breakpoints(), oracle.breakpoints())
@@ -68,12 +67,8 @@ void expect_matches_oracle(const AvailabilityProfile& indexed,
         resv::FitQuery::latest(procs, duration, deadline, not_before));
     want.push_back(b);
   }
-  ASSERT_TRUE(snap.refresh(indexed))
-      << "every mutation must invalidate the snapshot (step " << step << ")";
-  std::vector<std::optional<double>> got;
-  snap.fit_many_into(batch, got);
-  ASSERT_EQ(got, want) << "snapshot fit_many_into diverged at churn step "
-                       << step;
+  indexed.fit_many_into(batch, fits);
+  ASSERT_EQ(fits, want) << "fit_many_into diverged at churn step " << step;
 }
 
 /// Seeded interleaved commit / release / compact churn, compared against
@@ -82,7 +77,7 @@ void churn_differential(std::uint64_t seed) {
   constexpr int kCapacity = 64;
   util::Rng rng(util::derive_seed(0xA4E7A, {seed}));
   AvailabilityProfile indexed(kCapacity);
-  resv::CalendarSnapshot snap;
+  std::vector<std::optional<double>> fits;
   LinearProfile oracle(kCapacity);
   std::vector<Reservation> live;
 
@@ -115,7 +110,7 @@ void churn_differential(std::uint64_t seed) {
       std::erase_if(live,
                     [horizon](const Reservation& r) { return r.start < horizon; });
     }
-    expect_matches_oracle(indexed, snap, oracle, rng, step);
+    expect_matches_oracle(indexed, fits, oracle, rng, step);
   }
 }
 

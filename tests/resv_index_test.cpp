@@ -8,11 +8,16 @@
 // seeded (every failure is replayable from its seed) and shrinkable: on a
 // mismatch the harness greedily deletes op-groups (an add with its paired
 // release, a commit with its rollback) while the failure reproduces, then
-// reports the minimal sequence.
+// reports the minimal sequence. A fixed-seed leg aims fit queries at the
+// edge inputs of both scans — the sentinel-only empty profile, not_before
+// and deadlines exactly on a breakpoint, deadline - duration < not_before,
+// and 1e-12 s slivers — and compares the raw bits of every answer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -431,6 +436,75 @@ TEST(ResvIndex, ConcurrentReadersOfOneProfileAgreeWithTheOracle) {
   for (std::thread& r : readers) r.join();
   for (int t = 0; t < kReaders; ++t)
     EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "reader " << t;
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+/// Bitwise equality of optional fit results (nullopt != any value).
+::testing::AssertionResult same_fit(const std::optional<double>& a,
+                                    const std::optional<double>& b) {
+  if (a.has_value() != b.has_value())
+    return ::testing::AssertionFailure()
+           << (a ? "value" : "nullopt") << " vs " << (b ? "value" : "nullopt");
+  if (a && bits(*a) != bits(*b))
+    return ::testing::AssertionFailure()
+           << std::hexfloat << *a << " vs " << *b;
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ResvIndex, FitsMatchLinearOracleBitForBitOnEdgeInputs) {
+  util::Rng rng(0xCA);
+  for (int trial = 0; trial < 8; ++trial) {
+    const int p = static_cast<int>(rng.uniform_int(4, 48));
+    AvailabilityProfile profile(p);
+    LinearProfile oracle(p);
+    // Trial 0 is the empty profile: the treap holds only the -infinity
+    // sentinel step.
+    const int n_res = trial == 0 ? 0 : static_cast<int>(rng.uniform_int(1, 60));
+    for (int i = 0; i < n_res; ++i) {
+      double start = rng.uniform(-12.0, 96.0) * 3600.0;
+      double dur = rng.bernoulli(0.2) ? rng.uniform(1e-9, 1e-3)
+                                      : rng.uniform(0.5, 10.0) * 3600.0;
+      Reservation r{start, start + dur,
+                    static_cast<int>(rng.uniform_int(1, p))};
+      profile.add(r);
+      oracle.add(r);
+    }
+    const std::vector<double> keys = oracle.breakpoints();
+    auto any_key = [&] {
+      return keys[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(keys.size()) - 1))];
+    };
+    for (int q = 0; q < 60; ++q) {
+      int procs = static_cast<int>(rng.uniform_int(1, p));
+      double duration = rng.bernoulli(0.2) ? rng.uniform(1e-12, 1e-6)
+                                           : rng.uniform(1.0, 20.0 * 3600.0);
+      // Exact-key anchors hit the run-boundary cases of both scans.
+      double not_before = !keys.empty() && rng.bernoulli(0.3)
+                              ? any_key()
+                              : rng.uniform(-20.0, 90.0) * 3600.0;
+      // Sometimes underflow the slack (deadline - duration < not_before),
+      // sometimes end exactly on a breakpoint.
+      double deadline =
+          rng.bernoulli(0.2)
+              ? not_before + rng.uniform(0.0, duration)
+              : (!keys.empty() && rng.bernoulli(0.2)
+                     ? any_key()
+                     : not_before + duration +
+                           rng.uniform(0.0, 40.0) * 3600.0);
+      EXPECT_TRUE(same_fit(oracle.earliest_fit(procs, duration, not_before),
+                           profile.earliest_fit(procs, duration, not_before)))
+          << "earliest_fit vs oracle, trial " << trial << " query " << q;
+      EXPECT_TRUE(
+          same_fit(oracle.latest_fit(procs, duration, deadline, not_before),
+                   profile.latest_fit(procs, duration, deadline, not_before)))
+          << "latest_fit vs oracle, trial " << trial << " query " << q;
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 //
 // A second case checks that the daemon does not keep a thread (and its
 // stack) per past connection: many short sequential clients must leave
-// the process's virtual size bounded.
+// the process's virtual size bounded. A third pins the pipelined flush
+// path: a burst drained from one connection is applied request by request
+// under one core-lock acquisition and covered by one fsync, and must
+// leave the same responses, WAL bytes and shutdown artifacts as one
+// round-trip per request.
 //
 // Eight threads hammer one in-process daemon over a real unix socket with
 // interleaved submit / status / cancel traffic. The interleaving is
@@ -19,6 +23,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -30,6 +35,7 @@
 #include <vector>
 
 #include "src/dag/dag.hpp"
+#include "src/obs/obs.hpp"
 #include "src/srv/client.hpp"
 #include "src/srv/proto.hpp"
 #include "src/srv/server.hpp"
@@ -147,6 +153,97 @@ long vm_size_kib() {
   return 0;
 }
 
+/// A pipelined client's script: bursts of same-timestamp deadline submits
+/// mixed with undated submits, status reads, cancels, and counter-offer
+/// accepts.
+std::vector<proto::Request> batch_script(int jobs) {
+  std::vector<proto::Request> script;
+  for (int j = 1; j <= jobs; ++j) {
+    const double t = 40.0 * static_cast<double>((j - 1) / 4);  // 4-job bursts
+    proto::Request submit;
+    submit.verb = proto::Verb::kSubmit;
+    submit.job_id = j;
+    submit.time = t;
+    std::vector<TaskCost> costs;
+    for (int v = 0; v <= j % 3; ++v)
+      costs.push_back({600.0 + 100.0 * static_cast<double>(j % 7), 0.0});
+    submit.dag = Dag(std::move(costs), {});
+    if (j % 4 == 0)
+      submit.deadline = t + 1.0;  // infeasibly tight -> counter-offered
+    else if (j % 2 == 0)
+      submit.deadline = t + 1e6;  // generous -> accepted
+    script.push_back(submit);
+
+    if (j % 4 == 0) {
+      proto::Request accept;
+      accept.verb = proto::Verb::kCounterOfferAccept;
+      accept.job_id = j;
+      accept.time = t + 5.0;
+      script.push_back(accept);
+    }
+    if (j % 5 == 0) {
+      proto::Request status;
+      status.verb = proto::Verb::kStatus;
+      status.job_id = j - 1;
+      status.time = t + 6.0;
+      script.push_back(status);
+    }
+    if (j % 6 == 0) {
+      proto::Request cancel;
+      cancel.verb = proto::Verb::kCancel;
+      cancel.job_id = j - 2;
+      cancel.time = t + 7.0;
+      script.push_back(cancel);
+    }
+  }
+  return script;
+}
+
+/// Serves `script` from a fresh in-process daemon in `dir` and returns the
+/// encoded responses. flush == 0 sends one call() per request; otherwise
+/// the script goes out through Client::pipeline in bursts of `flush`
+/// requests, each written in one send. Leaves the WAL and the shutdown
+/// artifacts (trace.jsonl, calendar.tsv) in `dir`.
+std::vector<std::string> serve_script(const std::string& dir,
+                                      const std::vector<proto::Request>& script,
+                                      std::size_t flush) {
+  const std::string sock = dir + "/d.sock";
+  ServerCoreConfig config;
+  config.service.capacity = 16;
+  config.state_dir = dir;
+  ServerCore core(config);
+  core.recover();
+  Server server(core, [&] {
+    ServerOptions options;
+    options.unix_path = sock;
+    return options;
+  }());
+  server.start();
+  std::thread acceptor([&server] { server.serve(); });
+
+  std::vector<std::string> encoded;
+  {
+    Client client = Client::connect_unix(sock);
+    if (flush == 0) {
+      for (const proto::Request& request : script)
+        encoded.push_back(proto::encode(client.call(request)));
+    } else {
+      for (std::size_t i = 0; i < script.size(); i += flush) {
+        const std::vector<proto::Request> burst(
+            script.begin() + static_cast<std::ptrdiff_t>(i),
+            script.begin() + static_cast<std::ptrdiff_t>(
+                                 std::min(i + flush, script.size())));
+        for (const proto::Response& r : client.pipeline(burst))
+          encoded.push_back(proto::encode(r));
+      }
+    }
+  }
+  Client::connect_unix(sock).shutdown_server();
+  acceptor.join();
+  core.finalize();
+  return encoded;
+}
+
 bool outcome_matches(const Observed& seen, const std::string& golden_state) {
   if (seen.cancelled_ok) return golden_state == "cancelled";
   if (seen.submit_state == "accepted")
@@ -257,4 +354,46 @@ TEST(SrvStress, SequentialConnectionsReapTheirThreads) {
   // arenas for threads that briefly overlapped.
   EXPECT_LT(grown, 256L * 1024) << "VmSize grew by " << grown << " KiB over "
                                << kClients << " sequential connections";
+}
+
+// Pipelining only changes how requests are grouped into flushes; the
+// serialized request order, and so every byte the daemon produces, must
+// be what one round-trip per request produces.
+TEST(SrvBatch, PipelinedFlushesMatchSerialCallsByteForByte) {
+  const std::vector<proto::Request> script = batch_script(24);
+  const std::string serial_dir = make_temp_dir();
+  const std::vector<std::string> want = serve_script(serial_dir, script, 0);
+  ASSERT_EQ(want.size(), script.size());
+
+  for (const std::size_t flush : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{7}}) {
+    const std::string dir = make_temp_dir();
+#ifndef RESCHED_OBS_DISABLED
+    resched::obs::Histogram& frames =
+        resched::obs::registry().histogram("srv.core.batch.frames");
+    frames.reset();
+    resched::obs::set_metrics_enabled(true);
+#endif
+    const std::vector<std::string> got = serve_script(dir, script, flush);
+#ifndef RESCHED_OBS_DISABLED
+    resched::obs::set_metrics_enabled(false);
+    // Each burst leaves the client in one write, so the server drains
+    // several frames per flush: the multi-request path is what ran.
+    if (flush > 1) {
+      EXPECT_GE(frames.max(), 2u) << "flush " << flush;
+    }
+#endif
+    ASSERT_EQ(got.size(), want.size()) << "flush " << flush;
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(got[i], want[i])
+          << "flush " << flush << ": response " << i << " diverges";
+    EXPECT_EQ(read_file(dir + "/wal"), read_file(serial_dir + "/wal"))
+        << "flush " << flush;
+    EXPECT_EQ(read_file(dir + "/trace.jsonl"),
+              read_file(serial_dir + "/trace.jsonl"))
+        << "flush " << flush;
+    EXPECT_EQ(read_file(dir + "/calendar.tsv"),
+              read_file(serial_dir + "/calendar.tsv"))
+        << "flush " << flush;
+  }
 }
